@@ -162,7 +162,6 @@ let calibration : json ref = ref (J_obj [])
 let e11_obs : json ref = ref (J_obj [])
 let e12_net : json ref = ref (J_obj [])
 let e13_batch : json ref = ref (J_obj [])
-let e14_codec : json ref = ref (J_obj [])
 
 (* BENCH_ONLY=e11 (comma-separated names) runs a subset of experiments;
    unset runs everything. *)
@@ -1380,7 +1379,7 @@ let e12 () =
    would be worthless here.  The whole table is computed twice, on a
    1-domain and a 4-domain pool, and must agree byte-for-byte. *)
 
-let e13_spec ?(codec = Service.Structural) ~batch ~pipeline ~loss ~seed () =
+let e13_spec ~batch ~pipeline ~loss ~seed () =
   {
     Runner.default_spec with
     seed;
@@ -1406,16 +1405,19 @@ let e13_spec ?(codec = Service.Structural) ~batch ~pipeline ~loss ~seed () =
         channel =
           (if loss > 0.0 then Service.Arq Xnet.Reliable.default_arq
            else Service.Assumed_reliable);
-        batching =
-          (if batch > 1 || pipeline > 1 then
-             Some
-               {
-                 Xreplication.Batcher.default_config with
-                 size = batch;
-                 depth = pipeline;
-               }
-           else None);
-        codec;
+        replica =
+          {
+            Xreplication.Replica.default_config with
+            batching =
+              (if batch > 1 || pipeline > 1 then
+                 Some
+                   {
+                     Xreplication.Batcher.default_config with
+                     size = batch;
+                     depth = pipeline;
+                   }
+               else None);
+          };
       };
   }
 
@@ -1539,210 +1541,6 @@ let e13 () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* E14: flat-codec GC pressure.  Three views, honestly separated:
-
-   1. Encode path alone (the thing the arena optimizes): minor words per
-      encoded message with a reused grow-only writer vs a fresh buffer
-      per message.  Steady-state reuse must stay at or under 50% of the
-      naive path — this is the CI gate, greppable as "e14 gate".
-   2. Whole runs, Structural vs Flat: minor words/request, major
-      collections per 10^6 requests, and virtual-time req/s.  Flat adds
-      decode work on top of Structural's pointer passing, so whole-run
-      allocation is *expected* to be higher; the number is recorded so
-      future codec changes have an anchor, not spun as a win.
-   3. Explore throughput (wall-clock schedules/s) and the pool-1 vs
-      pool-4 verdict identity of Flat vs Structural under a lossy plan. *)
-
-(* A request message shaped like the hot-path traffic: a mixed-arity
-   value so every codec branch (ints, strings, pairs) is exercised. *)
-let e14_message =
-  let input =
-    Value.(pair (int 42) (list [ str "booking"; int 7; pair (bool true) unit ]))
-  in
-  let req =
-    Xsm.Request.make ~rid:12345 ~action:"book" ~kind:Action.Undoable ~input
-  in
-  Xreplication.Wire.Request
-    { req; client = Xnet.Address.make ~role:"client" ~index:0 }
-
-let e14_minor_words_per ~n f =
-  let s0 = Gc.quick_stat () in
-  for _ = 1 to n do
-    f ()
-  done;
-  let s1 = Gc.quick_stat () in
-  (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int n
-
-let e14_run ~codec ~loss ~seed () =
-  Runner.run
-    ~spec:(e13_spec ~codec ~batch:64 ~pipeline:4 ~loss ~seed ())
-    ~setup:Workloads.setup_all
-    ~workload:(fun _ c s -> Workloads.sequence Workloads.Mixed ~n:4 c s)
-    ()
-
-(* The comparable fingerprint of one run: verdict plus every submitted
-   request's latency in order — equal fingerprints mean the schedules,
-   replies, and verdicts coincided. *)
-let e14_fingerprint ~codec ~loss ~seed () =
-  let r, _ = e14_run ~codec ~loss ~seed () in
-  ( Runner.ok r,
-    List.length r.Runner.submissions,
-    List.map (fun s -> s.Runner.latency) r.Runner.submissions,
-    r.Runner.end_time )
-
-let e14 () =
-  header
-    "E14 Flat codec GC pressure  [arena-reused encode vs fresh buffers; \
-     Flat vs Structural whole runs; verdict identity]";
-  let module C = Xnet.Codec in
-  (* 1. Encode path: reused writer vs fresh buffer per message. *)
-  let n_msgs = if quick then 20_000 else 200_000 in
-  let reused_writer = C.writer ~capacity:256 () in
-  (* Warm up so the grow-only buffer reaches steady state before the
-     measured window, as it does after the first send on a live link. *)
-  C.reset reused_writer;
-  Xreplication.Wire.codec.C.encode reused_writer e14_message;
-  let reused =
-    e14_minor_words_per ~n:n_msgs (fun () ->
-        C.reset reused_writer;
-        Xreplication.Wire.codec.C.encode reused_writer e14_message)
-  in
-  let fresh =
-    e14_minor_words_per ~n:n_msgs (fun () ->
-        let w = C.writer ~capacity:64 () in
-        Xreplication.Wire.codec.C.encode w e14_message;
-        ignore (C.contents w))
-  in
-  let ratio = if fresh > 0.0 then reused /. fresh else 0.0 in
-  let gate_ok = ratio <= 0.5 in
-  row "encode-path minor words/msg: reused=%.2f fresh=%.2f@." reused fresh;
-  row "e14 gate encode ratio (reused/fresh, must be <= 0.5): %.4f pass=%b@."
-    ratio gate_ok;
-  (* 2. Whole runs, Structural vs Flat, over a lossy plan. *)
-  let n = seeds 5 in
-  let whole codec =
-    let rows =
-      List.init n (fun i ->
-          let seed = (i + 1) * 7919 in
-          let s0 = Gc.quick_stat () in
-          let r, _ = e14_run ~codec ~loss:0.1 ~seed () in
-          let s1 = Gc.quick_stat () in
-          let requests = max 1 (List.length r.Runner.submissions) in
-          ( Runner.ok r,
-            requests,
-            (s1.Gc.minor_words -. s0.Gc.minor_words)
-            /. float_of_int requests,
-            float_of_int (s1.Gc.major_collections - s0.Gc.major_collections)
-            *. 1e6 /. float_of_int requests,
-            Stats.ratio (1000 * requests) (max 1 r.Runner.work_end_time) ))
-    in
-    let ok = List.for_all (fun (o, _, _, _, _) -> o) rows in
-    ( ok,
-      Stats.mean (List.map (fun (_, _, m, _, _) -> m) rows),
-      Stats.mean (List.map (fun (_, _, _, g, _) -> g) rows),
-      Stats.mean (List.map (fun (_, _, _, _, t) -> t) rows) )
-  in
-  let s_ok, s_minor, s_major, s_rps = whole Service.Structural in
-  let f_ok, f_minor, f_major, f_rps = whole Service.Flat in
-  row "%-12s %-6s %-22s %-24s %-9s@." "codec" "ok" "minor words/request"
-    "major gc/1e6 requests" "req/s";
-  row "%-12s %-6b %-22.0f %-24.0f %-9.1f@." "structural" s_ok s_minor s_major
-    s_rps;
-  row "%-12s %-6b %-22.0f %-24.0f %-9.1f@." "flat" f_ok f_minor f_major f_rps;
-  (* 3a. Explore throughput, Structural vs Flat scenario. *)
-  let open Xexplore in
-  let explore_rate codec =
-    let scenario = Explorer.booking () in
-    let scenario =
-      {
-        scenario with
-        Explorer.spec =
-          {
-            scenario.Explorer.spec with
-            Runner.service_config =
-              {
-                scenario.Explorer.spec.Runner.service_config with
-                Service.codec;
-              };
-          };
-      }
-    in
-    let trials = if quick then 100 else 400 in
-    let t0 = Unix.gettimeofday () in
-    let v =
-      Explorer.explore ~mutation:Xreplication.Mutation.Faithful scenario
-        (Strategy.random_walk ~trials ())
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    ( (if wall > 0.0 then float_of_int v.Explorer.explored /. wall else 0.0),
-      List.length v.Explorer.violating )
-  in
-  let s_rate, s_viol = explore_rate Service.Structural in
-  let f_rate, f_viol = explore_rate Service.Flat in
-  row "explore schedules/s: structural=%.0f flat=%.0f (violations %d/%d)@."
-    s_rate f_rate s_viol f_viol;
-  (* 3b. Verdict identity at pools 1 and 4 under the lossy plan. *)
-  let identity domains =
-    let pool = Pool.create ~domains () in
-    let sweep codec =
-      Pool.map pool
-        (fun seed -> e14_fingerprint ~codec ~loss:0.1 ~seed:(seed * 131) ())
-        (List.init n (fun i -> i + 1))
-    in
-    let s = sweep Service.Structural in
-    let f = sweep Service.Flat in
-    Pool.shutdown pool;
-    s = f
-  in
-  let id1 = identity 1 in
-  let id4 = identity 4 in
-  row "flat = structural (verdicts + replies): jobs=1 %b  jobs=4 %b@." id1 id4;
-  row
-    "expected shape: reused encode allocates ~0; whole-run flat pays \
-     decode on top of structural (recorded, not hidden); rates and \
-     verdicts match@.";
-  e14_codec :=
-    J_obj
-      [
-        ( "encode_path",
-          J_obj
-            [
-              ("messages", J_int n_msgs);
-              ("minor_words_per_msg_reused", J_float reused);
-              ("minor_words_per_msg_fresh", J_float fresh);
-              ("reused_over_fresh", J_float ratio);
-              ("gate_le_50pct", J_bool gate_ok);
-            ] );
-        ( "whole_run",
-          J_obj
-            [
-              ("runs", J_int n);
-              ("structural_ok", J_bool s_ok);
-              ("flat_ok", J_bool f_ok);
-              ("structural_minor_words_per_request", J_float s_minor);
-              ("flat_minor_words_per_request", J_float f_minor);
-              ("structural_major_gc_per_1e6_requests", J_float s_major);
-              ("flat_major_gc_per_1e6_requests", J_float f_major);
-              ("structural_req_per_s", J_float s_rps);
-              ("flat_req_per_s", J_float f_rps);
-            ] );
-        ( "explore",
-          J_obj
-            [
-              ("structural_schedules_per_s", J_float s_rate);
-              ("flat_schedules_per_s", J_float f_rate);
-              ("structural_violating", J_int s_viol);
-              ("flat_violating", J_int f_viol);
-            ] );
-        ( "identity",
-          J_obj
-            [
-              ("jobs1_identical", J_bool id1);
-              ("jobs4_identical", J_bool id4);
-            ] );
-      ]
-
-(* ------------------------------------------------------------------ *)
 (* E15: sharded scale-out.  N independent replica groups over one shared
    wire, keys hash-partitioned with a router/directory tier in front
    (lib/shard).  Weak scaling: the per-shard closed loop is constant
@@ -1776,9 +1574,17 @@ let e15_spec ~shards ~seed () =
         consensus_service_time = 30;
         shards;
         n_clients = 2;
-        batching =
-          Some
-            { Xreplication.Batcher.default_config with size = 16; depth = 4 };
+        replica =
+          {
+            Xreplication.Replica.default_config with
+            batching =
+              Some
+                {
+                  Xreplication.Batcher.default_config with
+                  size = 16;
+                  depth = 4;
+                };
+          };
       };
   }
 
@@ -1943,9 +1749,17 @@ let e16_spec ~substrate ~lease ~loss ~seed () =
         channel =
           (if loss > 0.0 then Service.Arq Xnet.Reliable.default_arq
            else Service.Assumed_reliable);
-        batching =
-          Some
-            { Xreplication.Batcher.default_config with size = 16; depth = 4 };
+        replica =
+          {
+            Xreplication.Replica.default_config with
+            batching =
+              Some
+                {
+                  Xreplication.Batcher.default_config with
+                  size = 16;
+                  depth = 4;
+                };
+          };
       };
   }
 
@@ -2259,7 +2073,6 @@ let write_json path =
         ("e11_obs", !e11_obs);
         ("e12_net", !e12_net);
         ("e13_batch", !e13_batch);
-        ("e14_codec", !e14_codec);
         ("e15_shard", !e15_shard);
         ("e16_lease", !e16_lease);
         ("calibration", !calibration);
@@ -2289,7 +2102,6 @@ let () =
   timed_exp "e11" e11;
   timed_exp "e12" e12;
   timed_exp "e13" e13;
-  timed_exp "e14" e14;
   timed_exp "e15" e15;
   timed_exp "e16" e16;
   timed_exp "calibration" calibrate;

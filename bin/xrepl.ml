@@ -238,20 +238,6 @@ let shards_arg =
            workload becomes the cross-shard mix and the R3 verdict is the \
            section-4 composition of per-shard checks.")
 
-let codec_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("structural", Service.Structural); ("flat", Service.Flat) ])
-        Service.Structural
-    & info [ "codec" ] ~docv:"C"
-        ~doc:
-          "Wire representation: $(b,structural) (messages pass by pointer; \
-           the default) or $(b,flat) (every message is encoded into a \
-           reusable byte frame at send time and decoded at delivery). \
-           Verdicts are identical either way; flat exercises the codecs and \
-           the allocation-free send path.")
-
 let batching_of ~batch ~pipeline =
   if batch > 1 || pipeline > 1 then
     Some
@@ -263,8 +249,8 @@ let batching_of ~batch ~pipeline =
   else None
 
 let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
-    ?(pipeline = 1) ?(clients = 1) ?(inflight = 1)
-    ?(codec = Service.Structural) ?(shards = 1) ?(lease = false) seed
+    ?(pipeline = 1) ?(clients = 1) ?(inflight = 1) ?(shards = 1)
+    ?(lease = false) seed
     n_replicas crashes noise fail_prob substrate detector client_crash =
   let net_faults = Xexplore.Explorer.net_faults_of_plan faults in
   let channel =
@@ -295,8 +281,11 @@ let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
                 initial_timeout = 160;
                 timeout_increment = 120;
               });
-      batching = batching_of ~batch ~pipeline;
-      codec;
+      replica =
+        {
+          Service.default_config.Service.replica with
+          batching = batching_of ~batch ~pipeline;
+        };
       shards;
     }
   in
@@ -361,10 +350,10 @@ let run_cmd =
   let doc = "Run one replication scenario and verify R1-R4." in
   let run seed n crashes noise fail_prob substrate detector requests mix
       client_crash loss dup jitter partitions batch pipeline clients inflight
-      codec shards lease =
+      shards lease =
     let faults = fault_plan_of loss dup jitter partitions in
     let spec =
-      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~codec ~shards
+      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~shards
         ~lease seed n crashes noise fail_prob substrate detector client_crash
     in
     if shards > 1 then begin
@@ -404,8 +393,8 @@ let run_cmd =
       const run $ seed_arg $ replicas_arg $ crashes_arg $ noise_arg
       $ fail_prob_arg $ substrate_arg $ detector_arg $ requests_arg $ mix_arg
       $ client_crash_arg $ loss_arg $ dup_arg $ jitter_arg $ partitions_arg
-      $ batch_arg $ pipeline_arg $ clients_arg $ inflight_arg $ codec_arg
-      $ shards_arg $ lease_arg)
+      $ batch_arg $ pipeline_arg $ clients_arg $ inflight_arg $ shards_arg
+      $ lease_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -433,7 +422,7 @@ let sweep_cmd =
              collected in seed order, so the table is identical whatever the \
              pool size.")
   in
-  let sweep points seeds jobs codec =
+  let sweep points seeds jobs =
     Xpar.Pool.with_pool ?domains:jobs (fun pool ->
         Format.printf "%-12s %-10s %-14s %-12s %-8s@." "noise-prob"
           "rounds/req" "execs/req" "cleanups/req" "x-able";
@@ -449,11 +438,6 @@ let sweep_cmd =
                     noise =
                       (if prob > 0.0 then Some (prob, 150, 8_000) else None);
                     time_limit = 5_000_000;
-                    service_config =
-                      {
-                        Runner.default_spec.Runner.service_config with
-                        Service.codec;
-                      };
                   }
                 in
                 let r, _ =
@@ -480,7 +464,7 @@ let sweep_cmd =
         0)
   in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const sweep $ points_arg $ seeds_arg $ jobs_arg $ codec_arg)
+    Term.(const sweep $ points_arg $ seeds_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
@@ -663,28 +647,11 @@ let explore_cmd =
   in
   let explore scenario requests seed noise mutation strategy trials budget
       window jobs expect out loss dup jitter partitions seeds batch pipeline
-      codec shards =
+      shards =
     (* Under walk/dfs/faults, any --loss/--dup/--partition plan is stamped
        on every schedule; the net strategy sweeps its own plans instead. *)
     let base_faults = fault_plan_of loss dup jitter partitions in
     let scen = make_scenario ~faults:base_faults scenario requests seed noise in
-    (* The scenario-level codec flows into every schedule's [codec] field
-       via the strategies' base schedule, so counterexample lines record
-       the wire representation they were found under. *)
-    let scen =
-      {
-        scen with
-        Explorer.spec =
-          {
-            scen.Explorer.spec with
-            Runner.service_config =
-              {
-                scen.Explorer.spec.Runner.service_config with
-                Service.codec;
-              };
-          };
-      }
-    in
     let strategies =
       let walk = Strategy.random_walk ~trials ~window () in
       let dfs = Strategy.delay_dfs ~budget ~window () in
@@ -799,8 +766,7 @@ let explore_cmd =
       const explore $ scenario_arg $ requests_arg $ seed_arg $ noise_arg
       $ mutation_arg $ strategy_arg $ trials_arg $ budget_arg $ window_arg
       $ jobs_arg $ expect_arg $ out_arg $ loss_arg $ dup_arg $ jitter_arg
-      $ partitions_arg $ seeds_arg $ batch_arg $ pipeline_arg $ codec_arg
-      $ shards_arg)
+      $ partitions_arg $ seeds_arg $ batch_arg $ pipeline_arg $ shards_arg)
 
 let replay_cmd =
   let doc = "Replay a schedule printed by $(b,xrepl explore)." in
@@ -827,22 +793,29 @@ let replay_cmd =
   let replay scenario requests noise schedule file dump_trace =
     let line =
       match (schedule, file) with
-      | Some s, _ -> Some s
-      | None, Some f ->
-          let ic = open_in f in
-          let l = try Some (input_line ic) with End_of_file -> None in
-          close_in ic;
-          l
-      | None, None -> None
+      | Some s, _ -> Ok s
+      | None, Some f -> (
+          match In_channel.with_open_text f In_channel.input_line with
+          | Some l -> Ok l
+          | None -> Error (f ^ " is empty")
+          | exception Sys_error e -> Error e)
+      | None, None -> Error "no schedule (pass --schedule or --file)"
     in
-    match Option.bind line Schedule.of_string with
-    | None ->
-        Format.eprintf "cannot parse schedule (pass --schedule or --file)@.";
+    (* The schedule overrides seed/faults; the base scenario supplies the
+       workload and must match the exploring invocation. *)
+    let checked =
+      let ( let* ) = Result.bind in
+      let* line = line in
+      let* sch = Schedule.parse line in
+      let scen = make_scenario scenario requests sch.Schedule.seed noise in
+      let* () = Explorer.check scen sch in
+      Ok (scen, sch)
+    in
+    match checked with
+    | Error why ->
+        Format.eprintf "cannot replay schedule: %s@." why;
         2
-    | Some sch ->
-        (* The schedule overrides seed/faults; the base scenario supplies
-           the workload and must match the exploring invocation. *)
-        let scen = make_scenario scenario requests sch.Schedule.seed noise in
+    | Ok (scen, sch) ->
         let o, r, trace =
           Explorer.replay ~with_trace:dump_trace scen sch
         in
@@ -936,12 +909,12 @@ let stats_cmd =
   in
   let stats seed n crashes noise fail_prob substrate detector requests mix
       client_crash trials obs_json loss dup jitter partitions batch pipeline
-      clients inflight codec lease =
+      clients inflight lease =
     Xobs.set_enabled true;
     Xobs.reset ();
     let faults = fault_plan_of loss dup jitter partitions in
     let spec =
-      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~codec ~lease seed
+      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~lease seed
         n crashes noise fail_prob substrate detector client_crash
     in
     let r, _ =
@@ -994,7 +967,7 @@ let stats_cmd =
       $ fail_prob_arg $ substrate_arg $ detector_arg $ requests_arg $ mix_arg
       $ client_crash_arg $ explore_trials_arg $ obs_json_arg $ loss_arg
       $ dup_arg $ jitter_arg $ partitions_arg $ batch_arg $ pipeline_arg
-      $ clients_arg $ inflight_arg $ codec_arg $ lease_arg)
+      $ clients_arg $ inflight_arg $ lease_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench --compare: diff two bench JSON reports (bench/main.exe --json),

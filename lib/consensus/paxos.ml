@@ -8,83 +8,6 @@ type 'v msg =
   | Nack of { inst : string; ballot : int; promised : int }
   | Decided of { inst : string; value : 'v }
 
-(* Flat frame layout, given a codec for the proposed values.  Instance
-   ids are length-prefixed strings, ballots zigzag varints. *)
-let msg_codec (vc : 'v Xnet.Codec.t) : 'v msg Xnet.Codec.t =
-  let module C = Xnet.Codec in
-  let accepted_enc w (b, v) =
-    C.write_int w b;
-    vc.C.encode w v
-  in
-  let accepted_dec r =
-    let b = C.read_int r in
-    let v = vc.C.decode r in
-    (b, v)
-  in
-  {
-    C.encode =
-      (fun w -> function
-        | Prepare { inst; ballot } ->
-            C.write_tag w 0;
-            C.write_str w inst;
-            C.write_int w ballot
-        | Promise { inst; ballot; accepted } ->
-            C.write_tag w 1;
-            C.write_str w inst;
-            C.write_int w ballot;
-            C.write_option accepted_enc w accepted
-        | Accept { inst; ballot; value } ->
-            C.write_tag w 2;
-            C.write_str w inst;
-            C.write_int w ballot;
-            vc.C.encode w value
-        | Accepted { inst; ballot } ->
-            C.write_tag w 3;
-            C.write_str w inst;
-            C.write_int w ballot
-        | Nack { inst; ballot; promised } ->
-            C.write_tag w 4;
-            C.write_str w inst;
-            C.write_int w ballot;
-            C.write_int w promised
-        | Decided { inst; value } ->
-            C.write_tag w 5;
-            C.write_str w inst;
-            vc.C.encode w value);
-    decode =
-      (fun r ->
-        match C.read_tag r with
-        | 0 ->
-            let inst = C.read_str r in
-            let ballot = C.read_int r in
-            Prepare { inst; ballot }
-        | 1 ->
-            let inst = C.read_str r in
-            let ballot = C.read_int r in
-            let accepted = C.read_option accepted_dec r in
-            Promise { inst; ballot; accepted }
-        | 2 ->
-            let inst = C.read_str r in
-            let ballot = C.read_int r in
-            let value = vc.C.decode r in
-            Accept { inst; ballot; value }
-        | 3 ->
-            let inst = C.read_str r in
-            let ballot = C.read_int r in
-            Accepted { inst; ballot }
-        | 4 ->
-            let inst = C.read_str r in
-            let ballot = C.read_int r in
-            let promised = C.read_int r in
-            Nack { inst; ballot; promised }
-        | 5 ->
-            let inst = C.read_str r in
-            let value = vc.C.decode r in
-            Decided { inst; value }
-        | tag ->
-            raise (C.Malformed (Printf.sprintf "paxos msg: unknown tag %d" tag)));
-  }
-
 type 'v acceptor = {
   mutable promised : int;
   mutable accepted : (int * 'v) option;
@@ -222,10 +145,8 @@ let handle_msg g st (envelope : 'v msg Xnet.Transport.envelope) =
   | Decided { inst; value } -> record_decision g st inst value
 
 let create_group eng ~latency ~members ?(phase_timeout = 400)
-    ?(backoff_base = 50) ?codec () =
-  let transport =
-    Xnet.Transport.create eng ?codec:(Option.map msg_codec codec) ~latency ()
-  in
+    ?(backoff_base = 50) () =
+  let transport = Xnet.Transport.create eng ~latency () in
   let g =
     {
       eng;

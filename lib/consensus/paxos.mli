@@ -21,21 +21,6 @@
     A daemon dies with its member's process, so crashed members stop
     participating, exactly as crash-stop prescribes. *)
 
-type 'v msg =
-  | Prepare of { inst : string; ballot : int }
-  | Promise of { inst : string; ballot : int; accepted : (int * 'v) option }
-  | Accept of { inst : string; ballot : int; value : 'v }
-  | Accepted of { inst : string; ballot : int }
-  | Nack of { inst : string; ballot : int; promised : int }
-  | Decided of { inst : string; value : 'v }
-      (** The synod wire protocol, exposed for the flat-codec round-trip
-          properties. *)
-
-val msg_codec : 'v Xnet.Codec.t -> 'v msg Xnet.Codec.t
-(** Flat frame codec for the protocol messages, given a codec for the
-    proposed values (tags 0-5 in declaration order; instance ids are
-    length-prefixed strings, ballots zigzag varints). *)
-
 type 'v group
 
 val create_group :
@@ -44,13 +29,11 @@ val create_group :
   members:(Xnet.Address.t * Xsim.Proc.t) list ->
   ?phase_timeout:int ->
   ?backoff_base:int ->
-  ?codec:'v Xnet.Codec.t ->
   unit ->
   'v group
 (** [phase_timeout] (default 400 ticks) bounds each quorum wait before a
     ballot is abandoned; [backoff_base] (default 50) scales the randomized
-    retry backoff.  [codec] (for proposed values) switches the group's
-    internal transport to the flat {!msg_codec} wire representation. *)
+    retry backoff. *)
 
 val members : 'v group -> Xnet.Address.t list
 

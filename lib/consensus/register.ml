@@ -2,13 +2,12 @@ type 'v t = {
   eng : Xsim.Engine.t;
   rname : string;
   latency : int;
-  codec : 'v Xnet.Codec.t option;
   mutable decided : 'v option;
   mutable proposals : int;
 }
 
-let create eng ?(latency = 20) ?codec ~name () =
-  { eng; rname = name; latency; codec; decided = None; proposals = 0 }
+let create eng ?(latency = 20) ~name () =
+  { eng; rname = name; latency; decided = None; proposals = 0 }
 
 let name t = t.rname
 
@@ -33,14 +32,6 @@ let propose t ?(weight = 1) v =
   let decided = match t.decided with
     | Some d -> d
     | None ->
-        (* Flat mode: the register is remote, so the winning proposal
-           crosses the wire once — round-trip it through the codec so
-           what is decided is exactly what the frame carried. *)
-        let v =
-          match t.codec with
-          | None -> v
-          | Some c -> Xnet.Codec.roundtrip c v
-        in
         t.decided <- Some v;
         if obs_on then Xobs.Counter.incr (Xobs.counter "consensus.decisions");
         v

@@ -11,12 +11,8 @@
 type 'v t
 
 val create :
-  Xsim.Engine.t -> ?latency:int -> ?codec:'v Xnet.Codec.t -> name:string ->
-  unit -> 'v t
-(** [latency] is the one-way trip time to the register (default 20).
-    [codec] gives the register wire fidelity in flat mode: the winning
-    proposal is round-tripped through the codec at the decision point,
-    so the decided value is what the frame carried. *)
+  Xsim.Engine.t -> ?latency:int -> name:string -> unit -> 'v t
+(** [latency] is the one-way trip time to the register (default 20). *)
 
 val name : 'v t -> string
 

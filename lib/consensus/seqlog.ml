@@ -15,37 +15,6 @@ type 'v msg =
   | Commit of { seq : int; inst : string; value : 'v }
       (** sequencer -> all: log entry [seq] decides [inst] *)
 
-let msg_codec (vc : 'v Xnet.Codec.t) : 'v msg Xnet.Codec.t =
-  let module C = Xnet.Codec in
-  {
-    C.encode =
-      (fun w -> function
-        | Forward { inst; value } ->
-            C.write_tag w 0;
-            C.write_str w inst;
-            vc.C.encode w value
-        | Commit { seq; inst; value } ->
-            C.write_tag w 1;
-            C.write_int w seq;
-            C.write_str w inst;
-            vc.C.encode w value);
-    decode =
-      (fun r ->
-        match C.read_tag r with
-        | 0 ->
-            let inst = C.read_str r in
-            let value = vc.C.decode r in
-            Forward { inst; value }
-        | 1 ->
-            let seq = C.read_int r in
-            let inst = C.read_str r in
-            let value = vc.C.decode r in
-            Commit { seq; inst; value }
-        | tag ->
-            raise
-              (C.Malformed (Printf.sprintf "seqlog msg: unknown tag %d" tag)));
-  }
-
 type 'v outcome = Decided of 'v | Timeout
 
 type 'v member_state = {
@@ -125,10 +94,8 @@ let handle_msg g st (envelope : 'v msg Xnet.Transport.envelope) =
       end
   | Commit { inst; value; _ } -> record_local g st inst value
 
-let create_group eng ~latency ~members ?(forward_timeout = 600) ?codec () =
-  let transport =
-    Xnet.Transport.create eng ?codec:(Option.map msg_codec codec) ~latency ()
-  in
+let create_group eng ~latency ~members ?(forward_timeout = 600) () =
+  let transport = Xnet.Transport.create eng ~latency () in
   let g =
     {
       eng;

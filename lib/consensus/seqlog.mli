@@ -22,15 +22,6 @@
     sequencing and proposers rotate the view after {!create_group}'s
     [forward_timeout]. *)
 
-type 'v msg =
-  | Forward of { inst : string; value : 'v }
-  | Commit of { seq : int; inst : string; value : 'v }
-      (** The wire protocol, exposed for the flat-codec round-trip
-          properties. *)
-
-val msg_codec : 'v Xnet.Codec.t -> 'v msg Xnet.Codec.t
-(** Flat frame codec (tags 0-1 in declaration order). *)
-
 type 'v group
 
 val create_group :
@@ -38,7 +29,6 @@ val create_group :
   latency:Xnet.Latency.t ->
   members:(Xnet.Address.t * Xsim.Proc.t) list ->
   ?forward_timeout:int ->
-  ?codec:'v Xnet.Codec.t ->
   unit ->
   'v group
 (** [forward_timeout] (default 600 ticks) bounds the wait for a commit

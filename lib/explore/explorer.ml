@@ -129,9 +129,6 @@ let net_faults_of_plan (fp : Schedule.fault_plan) =
 
 let apply scenario (sch : Schedule.t) : Runner.spec =
   let sc = scenario.spec.Runner.service_config in
-  let replica =
-    { sc.Xreplication.Service.replica with mutation = sch.Schedule.mutation }
-  in
   (* A schedule with a fault plan means "lossy wire under the reliable
      channel layer": the ARQ channel is switched in unless the scenario
      explicitly configured one.  Raw-lossy runs (channel assumption
@@ -150,22 +147,22 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
   (* Batching/load dimensions: a schedule that carries them overrides
      the scenario; one that does not leaves the scenario's own setting
      (usually off/sequential) untouched. *)
-  let batching =
-    match sch.Schedule.batching with
-    | Some (size, depth, tick) -> Some { Xreplication.Batcher.size; tick; depth }
-    | None -> sc.Xreplication.Service.batching
+  let replica = sc.Xreplication.Service.replica in
+  let replica =
+    {
+      replica with
+      mutation = sch.Schedule.mutation;
+      batching =
+        (match sch.Schedule.batching with
+        | Some (size, depth, tick) ->
+            Some { Xreplication.Batcher.size; tick; depth }
+        | None -> replica.Xreplication.Replica.batching);
+    }
   in
   let clients, inflight =
     match sch.Schedule.load with
     | Some (c, k) -> (c, k)
     | None -> (scenario.spec.Runner.clients, scenario.spec.Runner.inflight)
-  in
-  (* A [Flat] schedule switches the wire representation on; [Structural]
-     (the default) leaves the scenario's own setting untouched. *)
-  let codec =
-    match sch.Schedule.codec with
-    | Xreplication.Service.Flat -> Xreplication.Service.Flat
-    | Xreplication.Service.Structural -> sc.Xreplication.Service.codec
   in
   (* A [shards] override moves the run onto an N-way sharded deployment;
      router blocks become the router config's partition windows.  Crash
@@ -214,14 +211,31 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
         Xreplication.Service.replica;
         faults;
         channel;
-        batching;
-        codec;
         shards;
         router;
         lease;
         substrate;
       };
   }
+
+(* The schedule checks that need the deployment: crash indices are flat
+   over every group's replicas, so their range is only known once the
+   schedule's overrides are applied to the scenario. *)
+let check scenario sch =
+  let sc = (apply scenario sch).Runner.service_config in
+  let n = sc.Xreplication.Service.n_replicas * sc.Xreplication.Service.shards in
+  match List.find_opt (fun (_, i) -> i >= n) sch.Schedule.crashes with
+  | None -> Ok ()
+  | Some (_, i) ->
+      let token =
+        String.concat ","
+          (List.map (fun (at, i) -> Printf.sprintf "%d:%d" at i)
+             sch.Schedule.crashes)
+      in
+      Error
+        (Printf.sprintf
+           "bad token 'crashes=%s': replica index %d out of range (%d replicas)"
+           token i n)
 
 (* Run a schedule with chooser [choose] installed; [sch] is the identity
    recorded in the outcome (for the random walk, its shifts are filled in
@@ -400,10 +414,7 @@ let fold_outcomes v outcomes =
 let base_schedule scenario ~mutation ~window ~seed =
   Schedule.make ~window ~mutation ~crashes:scenario.spec.Runner.crashes
     ?client_crash_at:scenario.spec.Runner.client_crash_at
-    ?noise:scenario.spec.Runner.noise ~faults:scenario.faults
-    ~codec:
-      scenario.spec.Runner.service_config.Xreplication.Service.codec
-    ~seed ()
+    ?noise:scenario.spec.Runner.noise ~faults:scenario.faults ~seed ()
 
 let take n xs = List.filteri (fun i _ -> i < n) xs
 let drop n xs = List.filteri (fun i _ -> i >= n) xs

@@ -70,6 +70,12 @@ val net_faults_of_plan : Schedule.fault_plan -> Xnet.Fault.t
     transport's terms ({!Xnet.Fault.t}); partition indices become
     replica addresses. *)
 
+val check : scenario -> Schedule.t -> (unit, string) result
+(** The checks {!Schedule.parse} cannot make alone: every crash index
+    must name a replica of the deployment the schedule runs on
+    ([shards * n_replicas] of them when sharded).  An [Error] names the
+    offending token.  Run it before replaying an untrusted line. *)
+
 val run_schedule : ?cache:Checker.cache -> scenario -> Schedule.t -> outcome
 (** Replay one schedule (chooser + monitor installed) and judge it. *)
 

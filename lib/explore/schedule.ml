@@ -40,9 +40,6 @@ type t = {
   load : (int * int) option;
       (** workload concurrency: (clients, inflight lanes per client);
           [None] = the scenario's own (sequential) load *)
-  codec : Xreplication.Service.codec_mode;
-      (** wire representation under exploration; [Structural] = the
-          scenario's own setting (the default) *)
   shards : int option;
       (** shard count override: [Some n] runs the scenario on an [n]-way
           sharded deployment; [None] = the scenario's own (single-group)
@@ -64,7 +61,7 @@ type t = {
 
 let make ?(window = 4) ?(mutation = Xreplication.Mutation.Faithful)
     ?(crashes = []) ?client_crash_at ?noise ?(faults = no_faults) ?batching
-    ?load ?(codec = Xreplication.Service.Structural) ?shards
+    ?load ?shards
     ?(router_blocks = []) ?(lease = false) ?substrate ?(shifts = []) ~seed () =
   {
     seed;
@@ -76,7 +73,6 @@ let make ?(window = 4) ?(mutation = Xreplication.Mutation.Faithful)
     faults;
     batching;
     load;
-    codec;
     shards;
     router_blocks;
     lease;
@@ -106,25 +102,6 @@ let string_of_pairs sep pairs =
     String.concat ","
       (List.map (fun (a, b) -> Printf.sprintf "%d%c%d" a sep b) pairs)
 
-let pairs_of_string sep s =
-  if s = "-" then Some []
-  else
-    let parse_pair tok =
-      match String.index_opt tok sep with
-      | None -> None
-      | Some i -> (
-          match
-            ( int_of_string_opt (String.sub tok 0 i),
-              int_of_string_opt
-                (String.sub tok (i + 1) (String.length tok - i - 1)) )
-          with
-          | Some a, Some b -> Some (a, b)
-          | _ -> None)
-    in
-    let toks = String.split_on_char ',' s in
-    let parsed = List.filter_map parse_pair toks in
-    if List.length parsed = List.length toks then Some parsed else None
-
 let string_of_partitions ps =
   if ps = [] then "-"
   else
@@ -135,45 +112,9 @@ let string_of_partitions ps =
              (String.concat "." (List.map string_of_int idxs)))
          ps)
 
-let partitions_of_string s =
-  if s = "-" then Some []
-  else
-    let parse tok =
-      match String.split_on_char ':' tok with
-      | [ s; h; g ] -> (
-          match (int_of_string_opt s, int_of_string_opt h) with
-          | Some s, Some h ->
-              let idxs =
-                List.filter_map int_of_string_opt (String.split_on_char '.' g)
-              in
-              if
-                g <> ""
-                && List.length idxs
-                   = List.length (String.split_on_char '.' g)
-              then Some (s, h, idxs)
-              else None
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' s in
-    let parsed = List.filter_map parse toks in
-    if List.length parsed = List.length toks then Some parsed else None
-
 let string_of_net f =
   if f.loss = 0.0 && f.dup_prob = 0.0 && f.jitter = 0 then "-"
   else Printf.sprintf "%h:%h:%d" f.loss f.dup_prob f.jitter
-
-let net_of_string s =
-  if s = "-" then Some (0.0, 0.0, 0)
-  else
-    match String.split_on_char ':' s with
-    | [ l; d; j ] -> (
-        match
-          (float_of_string_opt l, float_of_string_opt d, int_of_string_opt j)
-        with
-        | Some l, Some d, Some j -> Some (l, d, j)
-        | _ -> None)
-    | _ -> None
 
 (* (from, until, shard) triples, e.g. router-block windows. *)
 let string_of_triples ts =
@@ -181,23 +122,6 @@ let string_of_triples ts =
   else
     String.concat ","
       (List.map (fun (f, u, s) -> Printf.sprintf "%d:%d:%d" f u s) ts)
-
-let triples_of_string s =
-  if s = "-" then Some []
-  else
-    let parse tok =
-      match String.split_on_char ':' tok with
-      | [ f; u; s ] -> (
-          match
-            (int_of_string_opt f, int_of_string_opt u, int_of_string_opt s)
-          with
-          | Some f, Some u, Some s -> Some (f, u, s)
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' s in
-    let parsed = List.filter_map parse toks in
-    if List.length parsed = List.length toks then Some parsed else None
 
 let to_string t =
   let noise =
@@ -224,7 +148,7 @@ let to_string t =
   String.concat " "
     (Printf.sprintf
        "v1 seed=%d win=%d mut=%s crashes=%s ccrash=%s noise=%s net=%s \
-        parts=%s netf=%s bat=%s load=%s codec=%s shifts=%s"
+        parts=%s netf=%s bat=%s load=%s shifts=%s"
        t.seed t.window
     (Xreplication.Mutation.to_string t.mutation)
     (string_of_pairs ':' t.crashes)
@@ -239,127 +163,169 @@ let to_string t =
     (match t.load with
     | None -> "-"
     | Some (c, k) -> Printf.sprintf "%d:%d" c k)
-       (match t.codec with
-       | Xreplication.Service.Structural -> "-"
-       | Xreplication.Service.Flat -> "flat")
        (string_of_pairs ':' t.shifts)
     :: (shard_tokens @ lease_tokens))
 
-let of_string line =
-  let ( let* ) = Option.bind in
+(* ------------------------------------------------------------------ *)
+(* Parsing.  The schedule line is untrusted input, so every token is
+   checked for range as well as syntax: a line that parses replays
+   without tripping an assertion.  (Crash indices are the one exception;
+   their range depends on the deployment, see [Explorer.check].)  A
+   value parser returns the reason a value is bad; [parse] prefixes the
+   offending token.                                                    *)
+
+let ( let* ) = Result.bind
+
+let int_ok what s =
+  match int_of_string_opt s with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "%s is not an integer" what)
+
+let nat what s =
+  let* n = int_ok what s in
+  if n >= 0 then Ok n else Error (Printf.sprintf "negative %s" what)
+
+let positive what s =
+  let* n = int_ok what s in
+  if n >= 1 then Ok n else Error (Printf.sprintf "%s below 1" what)
+
+(* [nan] fails both comparisons, so it is rejected too. *)
+let prob what s =
+  match float_of_string_opt s with
+  | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+  | Some _ -> Error (Printf.sprintf "%s not in [0,1]" what)
+  | None -> Error (Printf.sprintf "%s is not a number" what)
+
+(* ["-"] for absent, else [v]. *)
+let opt v s = if s = "-" then Ok None else Result.map Option.some (v s)
+
+(* [sep]-separated items, each parsed by [item]. *)
+let items sep item s =
+  List.fold_right
+    (fun tok acc ->
+      let* x = item tok in
+      let* xs = acc in
+      Ok (x :: xs))
+    (String.split_on_char sep s) (Ok [])
+
+(* ["-"] for the empty list, else comma-separated items. *)
+let list item s = if s = "-" then Ok [] else items ',' item s
+
+let pair a b s =
+  match String.split_on_char ':' s with
+  | [ x; y ] ->
+      let* x = a x in
+      let* y = b y in
+      Ok (x, y)
+  | _ -> Error "expected 2 :-separated fields"
+
+let triple a b c s =
+  match String.split_on_char ':' s with
+  | [ x; y; z ] ->
+      let* x = a x in
+      let* y = b y in
+      let* z = c z in
+      Ok (x, y, z)
+  | _ -> Error "expected 3 :-separated fields"
+
+let one_of what choices s =
+  match List.assoc_opt s choices with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s" what)
+
+let tick = nat "tick"
+
+let partition = triple tick tick (items '.' (nat "replica index"))
+
+let parse line =
   match String.split_on_char ' ' (String.trim line) with
   | "v1" :: toks ->
-      let field key =
+      let find key =
+        let prefix = key ^ "=" in
         List.find_map
           (fun tok ->
-            let prefix = key ^ "=" in
-            let pl = String.length prefix in
-            if
-              String.length tok >= pl
-              && String.equal (String.sub tok 0 pl) prefix
-            then Some (String.sub tok pl (String.length tok - pl))
+            if String.starts_with ~prefix tok then
+              Some
+                (String.sub tok (String.length prefix)
+                   (String.length tok - String.length prefix))
             else None)
           toks
       in
-      let* seed = Option.bind (field "seed") int_of_string_opt in
-      let* window = Option.bind (field "win") int_of_string_opt in
-      let* mutation = Option.bind (field "mut") Xreplication.Mutation.of_string in
-      let* crashes = Option.bind (field "crashes") (pairs_of_string ':') in
-      let* client_crash_at =
-        match field "ccrash" with
-        | Some "-" -> Some None
-        | Some s -> Option.map Option.some (int_of_string_opt s)
-        | None -> None
+      let check key v value =
+        Result.map_error
+          (fun why -> Printf.sprintf "bad token '%s=%s': %s" key v why)
+          (value v)
       in
+      let token key value =
+        match find key with
+        | Some v -> check key v value
+        | None -> Error (Printf.sprintf "missing token '%s='" key)
+      in
+      (* Tokens added after the first schedule format default when
+         absent, so older lines (and shrunk lines that dropped them)
+         still parse.  Unknown tokens are ignored. *)
+      let token_or key ~default value =
+        check key (Option.value (find key) ~default) value
+      in
+      let* seed = token "seed" (int_ok "seed") in
+      let* window = token "win" (positive "window") in
+      let* mutation =
+        token "mut" (fun s ->
+            Option.to_result ~none:"unknown mutation"
+              (Xreplication.Mutation.of_string s))
+      in
+      let* crashes = token "crashes" (list (pair tick (nat "replica index"))) in
+      let* client_crash_at = token "ccrash" (opt tick) in
       let* noise =
-        match field "noise" with
-        | Some "-" -> Some None
-        | Some s -> (
-            match String.split_on_char ':' s with
-            | [ p; dur; until ] -> (
-                match
-                  ( float_of_string_opt p,
-                    int_of_string_opt dur,
-                    int_of_string_opt until )
-                with
-                | Some p, Some dur, Some until -> Some (Some (p, dur, until))
-                | _ -> None)
-            | _ -> None)
-        | None -> None
+        token "noise" (opt (triple (prob "probability") tick tick))
       in
-      let* shifts = Option.bind (field "shifts") (pairs_of_string ':') in
-      (* Fault tokens default when absent, so pre-fault-plane "v1" lines
-         (and shrunk lines that dropped the tokens) still parse. *)
+      let* shifts = token "shifts" (list (pair (nat "step") (nat "choice"))) in
       let* loss, dup_prob, jitter =
-        net_of_string (Option.value (field "net") ~default:"-")
+        token_or "net" ~default:"-" (fun s ->
+            if s = "-" then Ok (0.0, 0.0, 0)
+            else triple (prob "drop") (prob "dup") (nat "jitter") s)
       in
-      let* partitions =
-        partitions_of_string (Option.value (field "parts") ~default:"-")
-      in
+      let* partitions = token_or "parts" ~default:"-" (list partition) in
       let* forced =
-        pairs_of_string ':' (Option.value (field "netf") ~default:"-")
+        token_or "netf" ~default:"-"
+          (list
+             (pair (nat "send index")
+                (one_of "fault" [ ("0", 0); ("1", 1) ])))
       in
-      (* Batching/load tokens also default when absent (pre-batching
-         lines). *)
       let* batching =
-        match Option.value (field "bat") ~default:"-" with
-        | "-" -> Some None
-        | s -> (
-            match String.split_on_char ':' s with
-            | [ b; d; t ] -> (
-                match
-                  (int_of_string_opt b, int_of_string_opt d, int_of_string_opt t)
-                with
-                | Some b, Some d, Some t -> Some (Some (b, d, t))
-                | _ -> None)
-            | _ -> None)
+        token_or "bat" ~default:"-"
+          (opt (triple (positive "batch size") (positive "batch depth") tick))
       in
       let* load =
-        match Option.value (field "load") ~default:"-" with
-        | "-" -> Some None
-        | s -> (
-            match String.split_on_char ':' s with
-            | [ c; k ] -> (
-                match (int_of_string_opt c, int_of_string_opt k) with
-                | Some c, Some k -> Some (Some (c, k))
-                | _ -> None)
-            | _ -> None)
+        token_or "load" ~default:"-"
+          (opt (pair (positive "clients") (positive "inflight")))
       in
-      (* Codec token also defaults when absent (pre-codec lines). *)
-      let* codec =
-        match Option.value (field "codec") ~default:"-" with
-        | "-" -> Some Xreplication.Service.Structural
-        | "flat" -> Some Xreplication.Service.Flat
-        | _ -> None
-      in
-      (* Sharding tokens default when absent (pre-sharding lines). *)
-      let* shards =
-        match Option.value (field "shards") ~default:"-" with
-        | "-" -> Some None
-        | s -> Option.map Option.some (int_of_string_opt s)
-      in
+      let* shards = token_or "shards" ~default:"-" (opt (positive "shards")) in
       let* router_blocks =
-        triples_of_string (Option.value (field "rblk") ~default:"-")
+        token_or "rblk" ~default:"-" (list (triple tick tick (nat "shard")))
       in
-      (* Lease/substrate tokens default when absent (pre-lease lines). *)
       let* lease =
-        match Option.value (field "lease") ~default:"0" with
-        | "0" -> Some false
-        | "1" -> Some true
-        | _ -> None
+        token_or "lease" ~default:"0"
+          (one_of "lease flag" [ ("0", false); ("1", true) ])
       in
       let* substrate =
-        match Option.value (field "sub") ~default:"-" with
-        | "-" -> Some None
-        | ("register" | "paxos" | "seqlog") as s -> Some (Some s)
-        | _ -> None
+        token_or "sub" ~default:"-"
+          (one_of "substrate"
+             [
+               ("-", None);
+               ("register", Some "register");
+               ("paxos", Some "paxos");
+               ("seqlog", Some "seqlog");
+             ])
       in
       let faults = { loss; dup_prob; jitter; partitions; forced } in
-      Some
+      Ok
         (make ~window ~mutation ~crashes ?client_crash_at ?noise ~faults
-           ?batching ?load ~codec ?shards ~router_blocks ~lease ?substrate
-           ~shifts ~seed ())
-  | _ -> None
+           ?batching ?load ?shards ~router_blocks ~lease ?substrate ~shifts
+           ~seed ())
+  | _ -> Error "not a v1 schedule line"
+
+let of_string line = Result.to_option (parse line)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
@@ -396,7 +362,7 @@ let to_json t =
          (pairs t.faults.forced))
     (pairs t.shifts)
   |> fun base ->
-  (* Extend the object with the batching/load/codec/sharding dimensions
+  (* Extend the object with the batching/load/sharding dimensions
      when present, keeping pre-batching JSON byte-identical. *)
   let extra =
     (match t.batching with
@@ -410,9 +376,6 @@ let to_json t =
       | None -> []
       | Some (c, k) ->
           [ Printf.sprintf "\"load\":{\"clients\":%d,\"inflight\":%d}" c k ])
-    @ (match t.codec with
-      | Xreplication.Service.Structural -> []
-      | Xreplication.Service.Flat -> [ "\"codec\":\"flat\"" ])
     @ (match t.shards with
       | None -> []
       | Some n -> [ Printf.sprintf "\"shards\":%d" n ])

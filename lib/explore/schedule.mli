@@ -41,9 +41,6 @@ type t = {
   load : (int * int) option;
       (** workload concurrency: (clients, inflight lanes per client);
           [None] = the scenario's own (sequential) load *)
-  codec : Xreplication.Service.codec_mode;
-      (** wire representation under exploration; [Structural] (default)
-          leaves the scenario's own setting untouched *)
   shards : int option;
       (** shard-count override: [Some n] runs the scenario on an [n]-way
           sharded deployment ({!Xshard.Deployment}); [None] (default)
@@ -74,7 +71,6 @@ val make :
   ?faults:fault_plan ->
   ?batching:int * int * int ->
   ?load:int * int ->
-  ?codec:Xreplication.Service.codec_mode ->
   ?shards:int ->
   ?router_blocks:(int * int * int) list ->
   ?lease:bool ->
@@ -98,15 +94,25 @@ val chooser : t -> Xsim.Engine.chooser
 val to_string : t -> string
 (** One line, greppable. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string}: [of_string (to_string t) = Some t].  Lines
+val parse : string -> (t, string) result
+(** Inverse of {!to_string}: [parse (to_string t) = Ok t].  Lines
     written before the fault plan existed (no [net=]/[parts=]/[netf=]
     tokens) parse with {!no_faults}; lines without [bat=]/[load=] tokens
-    parse with batching and load off, lines without a [codec=] token
-    parse as [Structural], lines without [shards=]/[rblk=] tokens
-    parse as single-group with no router blocks, and lines without
-    [lease=]/[sub=] tokens parse as unleased on the scenario's own
-    substrate. *)
+    parse with batching and load off, lines without [shards=]/[rblk=]
+    tokens parse as single-group with no router blocks, and lines
+    without [lease=]/[sub=] tokens parse as unleased on the scenario's
+    own substrate.  Unknown tokens are ignored, so lines carrying a
+    token that has since been retired still parse.
+
+    The line is untrusted input: values are range-checked, and an
+    [Error] names the offending token and why it is bad —
+    probabilities outside [[0,1]] (and [nan]), negative ticks, jitter
+    or indices, and a window, shard count, batch size or depth, or load
+    below 1.  Crash indices are checked against the deployment by
+    {!Explorer.check}, not here.  Never raises. *)
+
+val of_string : string -> t option
+(** {!parse} without the reason. *)
 
 val to_json : t -> string
 (** JSON object, for machine-readable counterexample dumps. *)

@@ -41,35 +41,6 @@ type 'm packet =
   | Data of { seq : int; ack : int; payload : 'm }
   | Ack of { ack : int }
 
-(* Flat frame layout.  A [Data] frame carries its piggybacked cumulative
-   ack as a varint in the same buffer as the sequence number and payload
-   — the "ack in the same frame" the protocol comment above promises,
-   made literal in flat mode. *)
-let packet_codec (pc : 'm Codec.t) : 'm packet Codec.t =
-  {
-    Codec.encode =
-      (fun w -> function
-        | Data { seq; ack; payload } ->
-            Codec.write_tag w 0;
-            Codec.write_uint w seq;
-            Codec.write_uint w ack;
-            pc.Codec.encode w payload
-        | Ack { ack } ->
-            Codec.write_tag w 1;
-            Codec.write_uint w ack);
-    decode =
-      (fun r ->
-        match Codec.read_tag r with
-        | 0 ->
-            let seq = Codec.read_uint r in
-            let ack = Codec.read_uint r in
-            let payload = pc.Codec.decode r in
-            Data { seq; ack; payload }
-        | 1 -> Ack { ack = Codec.read_uint r }
-        | tag ->
-            raise (Codec.Malformed (Printf.sprintf "packet: unknown tag %d" tag)));
-  }
-
 type arq = {
   rto : int;  (* initial retransmission timeout *)
   backoff : int;  (* timeout multiplier per retry *)
@@ -261,12 +232,8 @@ let handle t (e : 'm packet Transport.envelope) =
         done
       end
 
-let create eng ?fifo ?faults ?codec ?(arq = default_arq) ~latency () =
-  let raw =
-    Transport.create eng ?fifo ?faults
-      ?codec:(Option.map packet_codec codec)
-      ~latency ()
-  in
+let create eng ?fifo ?faults ?(arq = default_arq) ~latency () =
+  let raw = Transport.create eng ?fifo ?faults ~latency () in
   let t =
     {
       eng;

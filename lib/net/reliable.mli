@@ -38,13 +38,6 @@ type 'm packet =
       (** Pure cumulative ack, sent only when no data frame came along
           to carry it within [ack_delay]. *)
 
-val packet_codec : 'm Codec.t -> 'm packet Codec.t
-(** Flat frame codec, given a codec for the application payload.  A
-    [Data] frame is [tag 0, seq varint, ack varint, payload]: the
-    piggybacked cumulative ack is encoded into the same buffer as the
-    data it rides — one frame on the wire, not a second message.  An
-    [Ack] frame is [tag 1, ack varint]. *)
-
 type arq = {
   rto : int;  (** initial retransmission timeout (virtual ticks) *)
   backoff : int;  (** timeout multiplier per retry *)
@@ -76,12 +69,10 @@ type stats = {
 type 'm t
 
 val create :
-  Xsim.Engine.t -> ?fifo:bool -> ?faults:Fault.t -> ?codec:'m Codec.t ->
-  ?arq:arq -> latency:Latency.t -> unit -> 'm t
+  Xsim.Engine.t -> ?fifo:bool -> ?faults:Fault.t -> ?arq:arq ->
+  latency:Latency.t -> unit -> 'm t
 (** Creates the underlying raw transport internally ([?fifo] and
-    [?faults] configure it) and installs the ARQ delivery hook on it.
-    [?codec] (for the application payload) switches the raw wire to the
-    flat {!packet_codec} frame representation. *)
+    [?faults] configure it) and installs the ARQ delivery hook on it. *)
 
 val engine : 'm t -> Xsim.Engine.t
 

@@ -30,9 +30,9 @@ type node = {
 
 (* Everything [send] needs for one directed link, resolved once on the
    first message and cached: destination mailbox, pre-concatenated
-   schedule labels, latency model, fault profile, FIFO clamp state, and
-   the flat-mode buffer pool.  The hot path does two table lookups and
-   allocates nothing but the delivery closure. *)
+   schedule labels, latency model, fault profile, and FIFO clamp state.
+   The hot path does two table lookups and allocates nothing but the
+   delivery closure. *)
 type 'm link = {
   l_mbox : 'm envelope Xsim.Mailbox.t;
   l_label : string;  (* "net:<dst>" *)
@@ -41,7 +41,6 @@ type 'm link = {
   mutable l_profile : Fault.link;
   mutable l_override : bool;  (* profile pinned by [set_link_faults] *)
   mutable l_last : int;  (* FIFO clamp: last arrival on this link *)
-  l_pool : Arena.t;
 }
 
 type stats = {
@@ -57,7 +56,6 @@ type stats = {
 type 'm t = {
   eng : Xsim.Engine.t;
   fifo : bool;
-  codec : 'm Codec.t option;
   default_latency : Latency.t;
   rng : Xsim.Rng.t;
   nodes : node Addr_tbl.t;
@@ -97,12 +95,11 @@ let install_faults t (f : Fault.t) =
   if (not (Fault.is_none f)) && t.fault_rng = None then
     t.fault_rng <- Some (Xsim.Rng.split t.rng)
 
-let create eng ?(fifo = false) ?faults ?codec ~latency () =
+let create eng ?(fifo = false) ?faults ~latency () =
   let t =
     {
       eng;
       fifo;
-      codec;
       default_latency = latency;
       rng = Xsim.Rng.split (Xsim.Engine.rng eng);
       nodes = Addr_tbl.create 16;
@@ -182,7 +179,6 @@ let link_of t ~src ~dst =
           l_profile = link_profile t ~src ~dst;
           l_override = Link_tbl.mem t.link_faults (src, dst);
           l_last = 0;
-          l_pool = Arena.create ();
         }
       in
       Addr_tbl.replace by_dst dst l;
@@ -245,20 +241,6 @@ let deliver t link ~src ~dst ~label delay payload =
   Xsim.Engine.schedule t.eng ~label ~delay (fun () ->
       commit_delivery t link delay { src; dst; payload })
 
-(* Flat-mode delivery: the mailbox logically carries encoded bytes; the
-   payload is decoded from the arena slot at delivery time and the slot
-   returns to the link's pool.  A short decode or trailing bytes raise
-   [Codec.Malformed] inside the fiber, which the engine surfaces as a run
-   error — a misparse can never be silent. *)
-let deliver_flat t link ~src ~dst ~label delay codec slot =
-  let delay = clamp t link delay in
-  Xsim.Engine.schedule t.eng ~label ~delay (fun () ->
-      let r = Codec.of_writer slot.Arena.sw in
-      let payload = codec.Codec.decode r in
-      Codec.expect_end r;
-      Arena.release link.l_pool slot;
-      commit_delivery t link delay { src; dst; payload })
-
 (* The fate of one message: partition check, then the forced-fault table
    (the explorer's systematic injections), then sampling.  Returns the
    action plus whether it was forced. *)
@@ -314,21 +296,14 @@ let send t ~src ~dst payload =
       t.partition_dropped <- t.partition_dropped + 1;
       obs_incr "net.partition_drops"
   | `Drop f ->
-      (* Dropped messages are never encoded: the fault plane decides
-         before any bytes are produced. *)
       ignore (sample_delay t link ~now profile : int);
       note_forced t f;
       t.dropped <- t.dropped + 1;
       obs_incr "net.drops"
-  | `Deliver -> (
+  | `Deliver ->
       let delay = sample_delay t link ~now profile in
-      match t.codec with
-      | None -> deliver t link ~src ~dst ~label:link.l_label delay payload
-      | Some codec ->
-          let slot = Arena.acquire link.l_pool in
-          codec.Codec.encode slot.Arena.sw payload;
-          deliver_flat t link ~src ~dst ~label:link.l_label delay codec slot)
-  | `Duplicate f -> (
+      deliver t link ~src ~dst ~label:link.l_label delay payload
+  | `Duplicate f ->
       note_forced t f;
       t.duplicated <- t.duplicated + 1;
       obs_incr "net.dups";
@@ -336,19 +311,8 @@ let send t ~src ~dst payload =
       (* The copy is independently delayed and separately labelled, so it
          is its own choice point for the explorer. *)
       let dup_delay = sample_delay t link ~now profile in
-      match t.codec with
-      | None ->
-          deliver t link ~src ~dst ~label:link.l_label delay payload;
-          deliver t link ~src ~dst ~label:link.l_dup_label dup_delay payload
-      | Some codec ->
-          (* One encoding, two references: both deliveries decode from the
-             same slot and the pool reclaims it after the second. *)
-          let slot = Arena.acquire link.l_pool in
-          codec.Codec.encode slot.Arena.sw payload;
-          Arena.retain slot;
-          deliver_flat t link ~src ~dst ~label:link.l_label delay codec slot;
-          deliver_flat t link ~src ~dst ~label:link.l_dup_label dup_delay codec
-            slot)
+      deliver t link ~src ~dst ~label:link.l_label delay payload;
+      deliver t link ~src ~dst ~label:link.l_dup_label dup_delay payload
 
 let broadcast t ~src ?(include_self = false) payload =
   List.iter
@@ -368,14 +332,6 @@ let clear_link_latency t ~src ~dst =
   match cached_link t ~src ~dst with
   | Some l -> l.l_latency <- t.default_latency
   | None -> ()
-
-let arena_stats t =
-  let slots = ref 0 and acquires = ref 0 in
-  iter_links t (fun l ->
-      let s = Arena.stats l.l_pool in
-      slots := !slots + s.Arena.slots;
-      acquires := !acquires + s.Arena.acquires);
-  { Arena.slots = !slots; acquires = !acquires }
 
 let stats t =
   {

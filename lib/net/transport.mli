@@ -19,17 +19,8 @@
     exploration.
 
     The transport is polymorphic in the message type; one transport
-    instance carries one protocol's messages.
-
-    {b Wire representation.}  By default messages move structurally: the
-    mailbox carries the sender's value by pointer.  Passing [?codec] at
-    creation switches the link to flat mode: every sent message is
-    encoded into a per-link {!Arena} buffer at send time and decoded at
-    delivery, so what crosses the simulated wire is exactly the byte
-    frame the codec defines.  Flat mode is a representation change only —
-    fault decisions, RNG draws, delays, and schedule labels are identical
-    to the structural run, and malformed frames surface as
-    {!Codec.Malformed} run errors rather than silent misparses. *)
+    instance carries one protocol's messages.  The mailbox carries the
+    sender's value by pointer: nothing is serialised. *)
 
 type 'm t
 
@@ -46,10 +37,8 @@ type stats = {
 }
 
 val create :
-  Xsim.Engine.t -> ?fifo:bool -> ?faults:Fault.t -> ?codec:'m Codec.t ->
-  latency:Latency.t -> unit -> 'm t
-(** [?codec] turns on the flat wire representation (see above); omitted,
-    messages move structurally, byte-identical to previous behaviour. *)
+  Xsim.Engine.t -> ?fifo:bool -> ?faults:Fault.t -> latency:Latency.t ->
+  unit -> 'm t
 
 val link_hash : Address.t -> Address.t -> int
 (** Allocation-free hash of a directed link (exposed for the
@@ -103,7 +92,3 @@ val set_delivery_hook : 'm t -> ('m envelope -> bool) option -> unit
     terminate wire messages below the process level. *)
 
 val stats : 'm t -> stats
-
-val arena_stats : 'm t -> Arena.stats
-(** Flat-mode buffer-pool totals summed over all links; [slots] stops
-    growing once every link has seen its peak in-flight load. *)

@@ -47,7 +47,6 @@ module Register_sub = struct
     eng : Xsim.Engine.t;
     latency : int;
     table : (string, Pval.t Xconsensus.Register.t) Hashtbl.t;
-    codec : Pval.t Xnet.Codec.t option;
     mutable proposals : int;
     mutable full_proposes : int;
         (** round-trip proposes only (not fast decides), for the model *)
@@ -55,17 +54,21 @@ module Register_sub = struct
 
   let name = "register"
 
-  let create eng ~latency ~codec =
-    { eng; latency; table = Hashtbl.create 64; codec; proposals = 0;
-      full_proposes = 0 }
+  let create eng ~latency =
+    {
+      eng;
+      latency;
+      table = Hashtbl.create 64;
+      proposals = 0;
+      full_proposes = 0;
+    }
 
   let obj t inst =
     match Hashtbl.find_opt t.table inst with
     | Some obj -> obj
     | None ->
         let obj =
-          Xconsensus.Register.create t.eng ~latency:t.latency ?codec:t.codec
-            ~name:inst ()
+          Xconsensus.Register.create t.eng ~latency:t.latency ~name:inst ()
         in
         Hashtbl.replace t.table inst obj;
         obj
@@ -165,22 +168,22 @@ type t = {
   mutable busy_until : int;
 }
 
-let create eng ?(service_time = 0) ?codec ?lease ~substrate ~members () =
+let create eng ?(service_time = 0) ?lease ~substrate ~members () =
   let sub =
     match substrate with
     | `Register latency ->
         ignore members;
         Sub
           ( (module Register_sub : SUBSTRATE with type t = Register_sub.t),
-            Register_sub.create eng ~latency ~codec )
+            Register_sub.create eng ~latency )
     | `Paxos latency ->
-        let g = Xconsensus.Paxos.create_group eng ~latency ~members ?codec () in
+        let g = Xconsensus.Paxos.create_group eng ~latency ~members () in
         if lease <> None then Xconsensus.Paxos.set_fast_path g true;
         Sub ((module Paxos_sub : SUBSTRATE with type t = Paxos_sub.t), g)
     | `Seqlog latency ->
         Sub
           ( (module Seqlog_sub : SUBSTRATE with type t = Seqlog_sub.t),
-            Xconsensus.Seqlog.create_group eng ~latency ~members ?codec () )
+            Xconsensus.Seqlog.create_group eng ~latency ~members () )
   in
   { sub; eng; lease; service_time; busy_until = 0 }
 

@@ -36,7 +36,6 @@ type t
 val create :
   Xsim.Engine.t ->
   ?service_time:int ->
-  ?codec:Pval.t Xnet.Codec.t ->
   ?lease:Lease.t ->
   substrate:substrate ->
   members:(Xnet.Address.t * Xsim.Proc.t) list ->
@@ -49,9 +48,6 @@ val create :
     the value is a single request or a batched aggregate (which is
     exactly the cost batching amortizes).  The default [0] keeps the
     substrate unserialised and pre-existing runs byte-identical.
-    [codec] switches the substrate to the flat wire representation: the
-    [`Paxos]/[`Seqlog] group transports carry encoded frames, and
-    [`Register] round-trips winning proposals for wire fidelity.
     [lease] enables the leased-owner fast path (and, for [`Paxos], the
     canonical decision table it requires). *)
 

@@ -80,98 +80,6 @@ let strip = function Leased { inner; _ } -> inner | v -> v
 
 let lease_epoch = function Leased { epoch; _ } -> Some epoch | _ -> None
 
-(* Flat codec over every constructor (tags 0-4 in declaration order),
-   reusing the wire layer's value/request/address encodings. *)
-
-module C = Xnet.Codec
-
-let encode_outcome w = function
-  | Commit -> C.write_tag w 0
-  | Abort -> C.write_tag w 1
-
-let decode_outcome r =
-  match C.read_tag r with
-  | 0 -> Commit
-  | 1 -> Abort
-  | tag -> raise (C.Malformed (Printf.sprintf "outcome: unknown tag %d" tag))
-
-let encode_member w ((req : Xsm.Request.t), client) =
-  Wire.encode_request w req;
-  C.address.C.encode w client
-
-let decode_member r =
-  let req = Wire.decode_request r in
-  let client = C.address.C.decode r in
-  (req, client)
-
-let encode_result w res = C.write_option Wire.encode_value w res
-let decode_result r = C.read_option Wire.decode_value r
-
-let encode_slot_result w (rid, res) =
-  C.write_int w rid;
-  encode_result w res
-
-let decode_slot_result r =
-  let rid = C.read_int r in
-  let res = decode_result r in
-  (rid, res)
-
-let rec encode_pval w = function
-  | Owner { owner; req; client } ->
-      C.write_tag w 0;
-      C.address.C.encode w owner;
-      Wire.encode_request w req;
-      C.address.C.encode w client
-  | Result res ->
-      C.write_tag w 1;
-      encode_result w res
-  | Outcome { outcome; result } ->
-      C.write_tag w 2;
-      encode_outcome w outcome;
-      encode_result w result
-  | Batch { owner; bid; members } ->
-      C.write_tag w 3;
-      C.address.C.encode w owner;
-      C.write_int w bid;
-      C.write_list encode_member w members
-  | Batch_outcome { outcome; results } ->
-      C.write_tag w 4;
-      encode_outcome w outcome;
-      C.write_list encode_slot_result w results
-  | Leased { epoch; inner } ->
-      C.write_tag w 5;
-      C.write_int w epoch;
-      encode_pval w inner
-
-let rec decode_pval r =
-  match C.read_tag r with
-  | 0 ->
-      let owner = C.address.C.decode r in
-      let req = Wire.decode_request r in
-      let client = C.address.C.decode r in
-      Owner { owner; req; client }
-  | 1 -> Result (decode_result r)
-  | 2 ->
-      let outcome = decode_outcome r in
-      let result = decode_result r in
-      Outcome { outcome; result }
-  | 3 ->
-      let owner = C.address.C.decode r in
-      let bid = C.read_int r in
-      let members = C.read_list decode_member r in
-      Batch { owner; bid; members }
-  | 4 ->
-      let outcome = decode_outcome r in
-      let results = C.read_list decode_slot_result r in
-      Batch_outcome { outcome; results }
-  | 5 ->
-      let epoch = C.read_int r in
-      let inner = decode_pval r in
-      Leased { epoch; inner }
-  | tag -> raise (C.Malformed (Printf.sprintf "pval: unknown tag %d" tag))
-
-let codec : t C.t = { C.encode = encode_pval; decode = decode_pval }
-
 let rec pp ppf = function
   | Leased { epoch; inner } -> Format.fprintf ppf "Leased(e%d,%a)" epoch pp inner
   | Owner { owner; req; _ } ->

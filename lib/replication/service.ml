@@ -11,13 +11,6 @@ type channel_config =
   | Assumed_reliable
   | Arq of Xnet.Reliable.arq
 
-(* How messages are represented on the simulated wire: [Structural]
-   passes the sender's value by pointer (the historical model, and the
-   byte-identical default); [Flat] encodes every message into a reusable
-   byte frame at send time and decodes it at delivery — service wire,
-   ARQ frames, and consensus backend alike. *)
-type codec_mode = Structural | Flat
-
 (* Directory/router tier knobs, consumed by the Xshard deployment layer
    (this library never reads them — keeping the dependency order
    xshard -> xreplication acyclic while letting one [config] describe a
@@ -44,13 +37,9 @@ type config = {
          default) keeps every run byte-identical to the unleased model *)
   detector : detector_config;
   replica : Replica.config;
-  batching : Batcher.config option;
-      (* convenience override: [Some] turns batching on at every replica
-         without spelling out the whole Replica.config *)
   consensus_service_time : int;
       (* serial-substrate occupancy per consensus proposal (ticks);
          0 = unserialised substrate (the historical model) *)
-  codec : codec_mode;
   shards : int;
       (* number of independent replica groups; 1 = this module's classic
          single-group deployment, >1 is built by Xshard.Deployment *)
@@ -68,9 +57,7 @@ let default_config =
     lease = None;
     detector = Oracle { detection_delay = 50; poll_interval = 25 };
     replica = Replica.default_config;
-    batching = None;
     consensus_service_time = 0;
-    codec = Structural;
     shards = 1;
     router = default_router;
   }
@@ -87,20 +74,17 @@ type wire = net
 
 (* One wire can be shared by several groups: a sharded deployment
    multiplexes N replica groups (distinct address prefixes) over a single
-   transport/ARQ/codec stack, exactly as one datacenter network carries
+   transport/ARQ stack, exactly as one datacenter network carries
    every shard's traffic. *)
 let make_wire eng (cfg : config) : wire =
-  let wire_codec =
-    match cfg.codec with Structural -> None | Flat -> Some Wire.codec
-  in
   match cfg.channel with
   | Assumed_reliable ->
       Raw
-        (Xnet.Transport.create eng ~faults:cfg.faults ?codec:wire_codec
-           ~latency:cfg.net_latency ())
+        (Xnet.Transport.create eng ~faults:cfg.faults ~latency:cfg.net_latency
+           ())
   | Arq arq ->
       Reliable
-        (Xnet.Reliable.create eng ~faults:cfg.faults ?codec:wire_codec ~arq
+        (Xnet.Reliable.create eng ~faults:cfg.faults ~arq
            ~latency:cfg.net_latency ())
 
 let wire_conduit (w : wire) =
@@ -159,10 +143,8 @@ let create ?wire ?(prefix = "") ?(rid_offset = 0) ?(extra_observers = []) eng
     Option.map (fun config -> Lease.create eng ~config ()) cfg.lease
   in
   let s_coord =
-    Coord.create eng ~service_time:cfg.consensus_service_time
-      ?codec:
-        (match cfg.codec with Structural -> None | Flat -> Some Pval.codec)
-      ?lease:s_lease ~substrate:cfg.substrate ~members:replica_members ()
+    Coord.create eng ~service_time:cfg.consensus_service_time ?lease:s_lease
+      ~substrate:cfg.substrate ~members:replica_members ()
   in
   let s_detector, s_oracle, s_heartbeat =
     match cfg.detector with
@@ -188,18 +170,13 @@ let create ?wire ?(prefix = "") ?(rid_offset = 0) ?(extra_observers = []) eng
         in
         (Xdetect.Heartbeat.detector hb, None, Some hb)
   in
-  let replica_config =
-    match cfg.batching with
-    | None -> cfg.replica
-    | Some _ as batching -> { cfg.replica with Replica.batching }
-  in
   let s_replicas =
     Array.of_list
       (List.map
          (fun (addr, proc) ->
            Replica.create ~eng ~env ~transport:s_transport
              ~detector:s_detector ~coord:s_coord ~addr ~proc
-             ~config:replica_config ())
+             ~config:cfg.replica ())
          replica_members)
   in
   let replica_addrs = List.map fst replica_members in

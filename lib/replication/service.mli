@@ -25,18 +25,6 @@ type channel_config =
       (** reliable channels implemented over the faulty wire by the
           {!Xnet.Reliable} ARQ layer *)
 
-type codec_mode =
-  | Structural
-      (** messages move by pointer — the historical, byte-identical
-          default *)
-  | Flat
-      (** every message is encoded into a reusable byte frame at send
-          time and decoded at delivery: the service wire carries
-          {!Wire.codec} frames (inside ARQ {!Xnet.Reliable.packet_codec}
-          frames under [Arq]), and the consensus backend carries
-          {!Pval.codec} payloads.  A representation change only: RNG
-          draws, delays, and verdicts are identical to [Structural] *)
-
 type router_config = {
   lookup_latency : int;  (** ticks per directory lookup on the routed path *)
   retry_delay : int;
@@ -72,17 +60,12 @@ type config = {
           model *)
   detector : detector_config;
   replica : Replica.config;
-  batching : Batcher.config option;
-      (** when [Some], every replica batches round-1 requests through the
-          batch log (overrides [replica.batching]); [None] (default)
-          leaves [replica.batching] as given *)
   consensus_service_time : int;
       (** serial consensus substrate: ticks each proposal occupies the
           (Multi-Paxos-style, sequenced) log before its round starts —
           one slot per proposal, aggregate or not, so batching amortizes
           it.  [0] (default) keeps the substrate unserialised and
           pre-existing runs byte-identical; see {!Coord.create} *)
-  codec : codec_mode;  (** wire representation (default [Structural]) *)
   shards : int;
       (** number of independent replica groups.  [1] (default) is this
           module's classic single-group deployment; [> 1] asks
@@ -98,13 +81,13 @@ val default_config : config
     oracle detector with 50-tick detection delay, 1 shard. *)
 
 type wire
-(** A service wire: the transport (or ARQ reliable layer) plus codec that
-    carries {!Wire.t} messages.  Created per-group by default; a sharded
+(** A service wire: the transport (or ARQ reliable layer) that carries
+    {!Wire.t} messages.  Created per-group by default; a sharded
     deployment creates one and passes it to every group's {!create} so
     all shards share a single network. *)
 
 val make_wire : Xsim.Engine.t -> config -> wire
-(** Build the wire a [config] describes ([channel], [faults], [codec],
+(** Build the wire a [config] describes ([channel], [faults],
     [net_latency]) without building the service. *)
 
 val wire_conduit : wire -> Wire.t Xnet.Conduit.t

@@ -15,98 +15,3 @@ let pp ppf = function
         Xnet.Address.pp client
   | Result { rid; value } ->
       Format.fprintf ppf "Result(rid=%d,%a)" rid Value.pp_compact value
-
-(* Flat codecs.  [value_codec] covers the whole [Value.t] universe (tags
-   0-6 in constructor order); [request_codec] rebuilds the request record
-   directly, so any action name — base or variant — survives the wire. *)
-
-module C = Xnet.Codec
-
-let rec encode_value w = function
-  | Value.Nil -> C.write_tag w 0
-  | Value.Unit -> C.write_tag w 1
-  | Value.Bool b ->
-      C.write_tag w 2;
-      C.write_bool w b
-  | Value.Int i ->
-      C.write_tag w 3;
-      C.write_int w i
-  | Value.Str s ->
-      C.write_tag w 4;
-      C.write_str w s
-  | Value.Pair (a, b) ->
-      C.write_tag w 5;
-      encode_value w a;
-      encode_value w b
-  | Value.List xs ->
-      C.write_tag w 6;
-      C.write_list encode_value w xs
-
-let rec decode_value r =
-  match C.read_tag r with
-  | 0 -> Value.Nil
-  | 1 -> Value.Unit
-  | 2 -> Value.Bool (C.read_bool r)
-  | 3 -> Value.Int (C.read_int r)
-  | 4 -> Value.Str (C.read_str r)
-  | 5 ->
-      let a = decode_value r in
-      let b = decode_value r in
-      Value.Pair (a, b)
-  | 6 -> Value.List (C.read_list decode_value r)
-  | tag -> raise (C.Malformed (Printf.sprintf "value: unknown tag %d" tag))
-
-let value_codec : Value.t C.t = { C.encode = encode_value; decode = decode_value }
-
-let encode_request w (req : Xsm.Request.t) =
-  C.write_int w req.Xsm.Request.rid;
-  C.write_str w req.Xsm.Request.action;
-  C.write_tag w
-    (match req.Xsm.Request.kind with
-    | Xability.Action.Idempotent -> 0
-    | Xability.Action.Undoable -> 1);
-  C.write_int w req.Xsm.Request.round;
-  encode_value w req.Xsm.Request.input
-
-let decode_request r : Xsm.Request.t =
-  let rid = C.read_int r in
-  let action = C.read_str r in
-  let kind =
-    match C.read_tag r with
-    | 0 -> Xability.Action.Idempotent
-    | 1 -> Xability.Action.Undoable
-    | tag ->
-        raise (C.Malformed (Printf.sprintf "request: unknown kind tag %d" tag))
-  in
-  let round = C.read_int r in
-  let input = decode_value r in
-  { Xsm.Request.rid; action; kind; round; input }
-
-let request_codec : Xsm.Request.t C.t =
-  { C.encode = encode_request; decode = decode_request }
-
-let codec : t C.t =
-  {
-    C.encode =
-      (fun w -> function
-        | Request { req; client } ->
-            C.write_tag w 0;
-            encode_request w req;
-            C.address.C.encode w client
-        | Result { rid; value } ->
-            C.write_tag w 1;
-            C.write_int w rid;
-            encode_value w value);
-    decode =
-      (fun r ->
-        match C.read_tag r with
-        | 0 ->
-            let req = decode_request r in
-            let client = C.address.C.decode r in
-            Request { req; client }
-        | 1 ->
-            let rid = C.read_int r in
-            let value = decode_value r in
-            Result { rid; value }
-        | tag -> raise (C.Malformed (Printf.sprintf "wire: unknown tag %d" tag)));
-  }

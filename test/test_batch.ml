@@ -42,7 +42,7 @@ let spec_of ~batching ~seed ~fault =
         channel =
           (if lossy then Service.Arq Xnet.Reliable.default_arq
            else Service.Assumed_reliable);
-        batching;
+        replica = { Xreplication.Replica.default_config with batching };
       };
   }
 

@@ -257,15 +257,6 @@ let test_seqlog_stats () =
   checki "one decision" 1 st.Seqlog.decisions;
   checkb "some messages" true (st.Seqlog.messages_sent > 0)
 
-let test_seqlog_msg_codec_roundtrip () =
-  let int_codec =
-    { Xnet.Codec.encode = Xnet.Codec.write_int; decode = Xnet.Codec.read_int }
-  in
-  let codec = Seqlog.msg_codec int_codec in
-  let check m = checkb "roundtrip" true (Xnet.Codec.roundtrip codec m = m) in
-  check (Seqlog.Forward { inst = "o/1/2"; value = 42 });
-  check (Seqlog.Commit { seq = 7; inst = "b/3"; value = -1 })
-
 (* Property: agreement and validity hold across random seeds, latencies,
    and proposer subsets. *)
 let prop_paxos_agreement =
@@ -323,7 +314,6 @@ let () =
           tc "leader crash -> view change" test_seqlog_leader_crash_view_change;
           tc "fast decide" test_seqlog_fast_decide;
           tc "stats" test_seqlog_stats;
-          tc "msg codec roundtrip" test_seqlog_msg_codec_roundtrip;
         ] );
       ("properties", [ qcheck prop_paxos_agreement ]);
     ]

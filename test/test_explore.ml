@@ -96,7 +96,7 @@ let gen_schedule =
   opt (int_bound 5_000) >>= fun client_crash_at ->
   opt
     (triple
-       (map (fun n -> float_of_int n /. 16.) (int_bound 32))
+       (map (fun n -> float_of_int n /. 16.) (int_bound 16))
        (int_bound 1_000) (int_bound 50_000))
   >>= fun noise ->
   list_size (int_bound 6)
@@ -431,6 +431,310 @@ let test_lossy_schedule_replays () =
       checki "end_time" o1.Explorer.end_time o2.Explorer.end_time;
       checkb "clean under ARQ" false (Explorer.violating o1)
 
+let contains s sub =
+  let ls = String.length sub and ln = String.length s in
+  let rec at i = i + ls <= ln && (String.sub s i ls = sub || at (i + 1)) in
+  at 0
+
+let test_schedule_lease_tokens () =
+  (* lease=/sub= tokens append only when non-default, so pre-lease lines
+     (and their byte-identical replays) are untouched. *)
+  let leased = Schedule.make ~lease:true ~substrate:"seqlog" ~seed:5 () in
+  let line = Schedule.to_string leased in
+  checkb "lease token" true (contains line "lease=1");
+  checkb "substrate token" true (contains line "sub=seqlog");
+  checkb "round-trips" true (Schedule.of_string line = Some leased);
+  let plain = Schedule.make ~seed:5 () in
+  let pline = Schedule.to_string plain in
+  checkb "no lease token by default" false (contains pline "lease=");
+  checkb "no sub token by default" false (contains pline "sub=");
+  checkb "pre-lease line parses unleased" true
+    (Schedule.of_string pline = Some plain);
+  checkb "json lease tagged" true
+    (contains (Schedule.to_json leased) {|"lease":true|});
+  checkb "json substrate tagged" true
+    (contains (Schedule.to_json leased) {|"substrate":"seqlog"|});
+  checkb "plain json untagged" false (contains (Schedule.to_json plain) "lease")
+
+(* ------------------------------------------------------------------ *)
+(* Untrusted schedule lines: out-of-range values are rejected with the
+   offending token named, before a run starts. *)
+
+let legacy_line =
+  "v1 seed=1 win=4 mut=faithful crashes=- ccrash=- noise=- shifts=-"
+
+(* [line] with [tok] ("key=value") in place of the token with the same
+   key, or appended when the key is absent. *)
+let set_token line tok =
+  let key = String.sub tok 0 (String.index tok '=' + 1) in
+  let toks = String.split_on_char ' ' line in
+  let has_key t = String.starts_with ~prefix:key t in
+  String.concat " "
+    (if List.exists has_key toks then
+       List.map (fun t -> if has_key t then tok else t) toks
+     else toks @ [ tok ])
+
+(* [parse] then the deployment-dependent [Explorer.check]. *)
+let accept scenario line =
+  Result.bind (Schedule.parse line) (fun sch ->
+      Result.map (fun () -> sch) (Explorer.check scenario sch))
+
+let test_schedule_rejects_out_of_range () =
+  let sc = Explorer.booking () in
+  List.iter
+    (fun (base, token) ->
+      let line = set_token base token in
+      match accept sc line with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error why ->
+          checkb (Printf.sprintf "%S names %s" why token) true
+            (contains why token))
+    (List.map
+       (fun tok -> (legacy_line, tok))
+       [
+         "crashes=0:99"; "crashes=-5:0"; "noise=1.5:-1:10"; "net=2.0:0:0";
+         "net=0:0:-5"; "net=nan:0:0"; "win=0"; "shards=0"; "bat=0:4:100";
+         "bat=16:0:100"; "load=0:1";
+       ]
+    @ [ (set_token legacy_line "shards=2", "crashes=0:6") ]);
+  (* The last replica of a sharded run is in range. *)
+  checkb "flat crash index within shards * n_replicas" true
+    (Result.is_ok
+       (accept sc (set_token (set_token legacy_line "shards=2") "crashes=0:5")))
+
+let test_codec_token_backcompat () =
+  (* Lines written while a second wire representation existed carry a
+     codec= token; it is ignored, and the run is the one the line names
+     without it. *)
+  let sc = noisy_booking () in
+  let faults = { Schedule.no_faults with Schedule.loss = 0.1 } in
+  let line =
+    Schedule.to_string
+      (Schedule.make ~faults ~crashes:[ (300, 0) ] ~shifts:[ (4, 1) ] ~seed:23 ())
+  in
+  let fingerprint line =
+    match Schedule.of_string line with
+    | None -> Alcotest.failf "%S does not parse" line
+    | Some sch ->
+        let _, _, trace = Explorer.replay ~with_trace:true sc sch in
+        Xsim.Trace.fingerprint trace
+  in
+  let fp = fingerprint line in
+  checki "codec=- replays the same run" fp (fingerprint (line ^ " codec=-"));
+  checki "codec=flat replays the same run" fp
+    (fingerprint (line ^ " codec=flat"))
+
+(* [line] as it was written while every schedule line carried a codec=
+   token, with [tok] just before shifts=. *)
+let with_codec_token line tok =
+  let i =
+    let rec find i =
+      if i + 8 > String.length line then
+        Alcotest.failf "no shifts= token in %S" line
+      else if String.sub line i 8 = " shifts=" then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  String.sub line 0 i ^ " " ^ tok
+  ^ String.sub line i (String.length line - i)
+
+let test_codec_token_roundtrip () =
+  (* A line carrying either old codec token parses to the schedule the
+     line names without it, and prints back without the token. *)
+  let s = Schedule.make ~crashes:[ (150, 0) ] ~seed:42 () in
+  let line = Schedule.to_string s in
+  checkb "no codec token written" false (contains line "codec=");
+  List.iter
+    (fun tok ->
+      let old = with_codec_token line tok in
+      match Schedule.of_string old with
+      | None -> Alcotest.failf "%S no longer parses" old
+      | Some parsed ->
+          Alcotest.check sched_testable (tok ^ " parses token-free") s parsed;
+          checks (tok ^ " prints token-free") line (Schedule.to_string parsed))
+    [ "codec=-"; "codec=flat" ]
+
+let test_pre_codec_line_backcompat () =
+  (* The oldest line shape (no net=, bat= or codec= tokens) names the
+     schedule it always did, and so does the full line as it was written
+     while every line carried codec=-. *)
+  let s = Schedule.make ~seed:1 () in
+  Alcotest.(check (option sched_testable))
+    "pre-codec line" (Some s)
+    (Schedule.of_string legacy_line);
+  Alcotest.(check (option sched_testable))
+    "codec=- line" (Some s)
+    (Schedule.of_string (with_codec_token (Schedule.to_string s) "codec=-"))
+
+let test_schedule_json_tagging () =
+  (* JSON carries no codec field, whichever codec token the line had. *)
+  let s = Schedule.make ~seed:1 () in
+  let json = Schedule.to_json s in
+  checkb "json untagged" false (contains json "codec");
+  List.iter
+    (fun tok ->
+      match
+        Schedule.of_string (with_codec_token (Schedule.to_string s) tok)
+      with
+      | None -> Alcotest.failf "%s line does not parse" tok
+      | Some parsed -> checks (tok ^ " line, same JSON") json (Schedule.to_json parsed))
+    [ "codec=-"; "codec=flat" ]
+
+(* Fuzz: random token soup, valid lines with one mutated token, and
+   well-shaped lines with out-of-range numbers.
+   [of_string] must never raise, and a line that passes [parse] and
+   [Explorer.check] must replay without raising. *)
+let fuzz_keys =
+  [ "seed"; "win"; "mut"; "crashes"; "ccrash"; "noise"; "shifts"; "net";
+    "parts"; "netf"; "bat"; "load"; "codec"; "shards"; "rblk"; "lease";
+    "sub"; "zz" ]
+
+let gen_fuzz_value =
+  let open QCheck.Gen in
+  let atom =
+    oneof
+      [
+        map string_of_int
+          (oneofl [ -5; -1; 0; 1; 2; 3; 4; 5; 7; 99; 150; 1000; 5000 ]);
+        oneofl
+          [ "-"; ""; "nan"; "inf"; "-inf"; "0.5"; "1.5"; "-0.1"; "1.0";
+            "0x1p-1"; "1e9"; "flat"; "paxos"; "seqlog"; "faithful";
+            "skip-undo"; "x"; "::" ];
+      ]
+  in
+  let joined sep n = map (String.concat sep) (list_size (int_range 1 n) atom) in
+  (* Mostly well-formed small numbers, so that many lines parse and
+     replay. *)
+  let plausible =
+    map (String.concat ":")
+      (list_size (int_range 1 3)
+         (oneof [ map string_of_int (int_range 0 9); oneofl [ "0.5"; "1.0" ] ]))
+  in
+  frequency
+    [
+      (2, atom);
+      (1, joined ":" 4);
+      (1, map (String.concat ",") (list_size (int_range 1 3) (joined ":" 3)));
+      (1, map2 (fun a b -> a ^ ":" ^ b) (joined ":" 2) (joined "." 3));
+      (4, plausible);
+      (2, map (String.concat ",") (list_size (int_range 1 3) plausible));
+    ]
+
+(* Shard counts and loads stay small: a large deployment is valid input,
+   only slow to replay. *)
+let gen_fuzz_token =
+  let open QCheck.Gen in
+  let small =
+    map (String.concat ":")
+      (list_size (int_range 1 3) (map string_of_int (int_range (-1) 4)))
+  in
+  oneofl fuzz_keys >>= fun key ->
+  map
+    (fun v -> key ^ "=" ^ v)
+    (if key = "shards" || key = "load" then small else gen_fuzz_value)
+
+let gen_soup =
+  QCheck.Gen.(
+    map2
+      (fun v1 toks -> String.concat " " (if v1 then "v1" :: toks else toks))
+      (frequency [ (9, return true); (1, return false) ])
+      (list_size (int_range 0 20) gen_fuzz_token))
+
+(* A valid line with one token replaced, or appended when its key is
+   absent. *)
+let gen_mutated =
+  QCheck.Gen.map2
+    (fun sch tok -> set_token (Schedule.to_string sch) tok)
+    gen_schedule gen_fuzz_token
+
+(* Every token well-shaped, its numbers drawn in and out of range: most
+   lines get past the syntax, so the range checks and replay are what is
+   exercised. *)
+let gen_shaped =
+  let open QCheck.Gen in
+  let n =
+    map string_of_int
+      (frequency
+         [ (1, int_range (-2) (-1)); (40, int_range 0 9);
+           (4, oneofl [ 150; 1000; 5000 ]) ])
+  in
+  let small = map string_of_int (int_range (-1) 4) in
+  let idx = map string_of_int (int_range 0 3) in
+  let p =
+    frequency
+      [ (12, oneofl [ "0"; "0.1"; "0.5"; "1" ]);
+        (1, oneofl [ "1.5"; "-0.1"; "nan" ]) ]
+  in
+  let colon gs = map (String.concat ":") (flatten_l gs) in
+  let list_of g =
+    frequency
+      [ (1, return "-");
+        (3, map (String.concat ",") (list_size (int_range 1 3) g)) ]
+  in
+  let opt_of g = frequency [ (1, return "-"); (2, g) ] in
+  let group = map (String.concat ".") (list_size (int_range 1 3) n) in
+  let required =
+    [
+      ("seed", n);
+      ("win", n);
+      ("mut", oneofl [ "faithful"; "skip-undo"; "dup-exec"; "early-reply" ]);
+      ("crashes", list_of (colon [ n; idx ]));
+      ("ccrash", opt_of n);
+      ("noise", opt_of (colon [ p; n; n ]));
+      ("shifts", list_of (colon [ n; n ]));
+    ]
+  and optional =
+    [
+      ("net", opt_of (colon [ p; p; n ]));
+      ("parts", list_of (colon [ n; n; group ]));
+      ("netf", list_of (colon [ n; n ]));
+      ("bat", opt_of (colon [ n; n; n ]));
+      ("load", opt_of (colon [ small; small ]));
+      ("shards", opt_of small);
+      ("rblk", list_of (colon [ n; n; n ]));
+      ("lease", frequency [ (8, oneofl [ "0"; "1" ]); (1, return "2") ]);
+      ( "sub",
+        frequency
+          [ (8, oneofl [ "-"; "register"; "paxos"; "seqlog" ]);
+            (1, return "raft") ] );
+      ("codec", oneofl [ "-"; "flat"; "bytes" ]);
+    ]
+  in
+  let token keep (key, g) =
+    map2 (fun keep v -> if keep then [ key ^ "=" ^ v ] else []) keep g
+  in
+  map2
+    (fun req opt -> String.concat " " ("v1" :: List.concat (req @ opt)))
+    (flatten_l
+       (List.map (token (frequency [ (19, return true); (1, return false) ]))
+          required))
+    (flatten_l (List.map (token bool) optional))
+
+let prop_schedule_fuzz =
+  let sc = Explorer.booking ~requests:2 () in
+  QCheck.Test.make ~name:"schedule fuzz: parse never raises, accepted lines replay"
+    ~count:(if quick then 150 else 400)
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         frequency [ (1, gen_soup); (1, gen_mutated); (4, gen_shaped) ]))
+    (fun line ->
+      match Schedule.of_string line with
+      | exception e ->
+          QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
+      | None -> true
+      | Some sch -> (
+          match Explorer.check sc sch with
+          | exception e ->
+              QCheck.Test.fail_reportf "check raised %s" (Printexc.to_string e)
+          | Error _ -> true
+          | Ok () -> (
+              match Explorer.run_schedule sc sch with
+              | exception e ->
+                  QCheck.Test.fail_reportf "replay raised %s"
+                    (Printexc.to_string e)
+              | _ -> true)))
+
 (* ------------------------------------------------------------------ *)
 (* Cross-shard strategy: sharded deployments under owner crashes and
    router partitions, verdicts composed per section 4 *)
@@ -580,6 +884,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_schedule_roundtrip;
           Alcotest.test_case "mutation names round-trip" `Quick
             test_mutation_roundtrip;
+          Alcotest.test_case "lease/substrate tokens" `Quick
+            test_schedule_lease_tokens;
+          Alcotest.test_case "rejects out-of-range values" `Quick
+            test_schedule_rejects_out_of_range;
+          Alcotest.test_case "codec token back-compat" `Quick
+            test_codec_token_backcompat;
+          Alcotest.test_case "codec token round-trip" `Quick
+            test_codec_token_roundtrip;
+          Alcotest.test_case "pre-codec line back-compat" `Quick
+            test_pre_codec_line_backcompat;
+          Alcotest.test_case "json tagging" `Quick test_schedule_json_tagging;
+          QCheck_alcotest.to_alcotest prop_schedule_fuzz;
         ] );
       ( "trace",
         [

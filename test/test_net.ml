@@ -538,6 +538,82 @@ let test_transport_members_order () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* ------------------------------------------------------------------ *)
+(* [Transport.link_hash]: the inline integer mix must spread links *)
+
+let test_link_hash_collisions () =
+  let addrs =
+    List.concat_map
+      (fun role -> List.init 32 (fun i -> Address.make ~role ~index:i))
+      [ "replica"; "client"; "px" ]
+  in
+  let seen = Hashtbl.create 4096 in
+  let pairs = ref 0 and collisions = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          incr pairs;
+          let h = Transport.link_hash a b in
+          checkb "non-negative" true (h >= 0);
+          (match Hashtbl.find_opt seen h with
+          | Some (a', b') when not (Address.equal a a' && Address.equal b b') ->
+              incr collisions
+          | _ -> ());
+          Hashtbl.replace seen h (a, b))
+        addrs)
+    addrs;
+  checki "all ordered pairs hashed" (96 * 96) !pairs;
+  (* 9216 pairs into a 62-bit space: any clustering means the mix is
+     broken.  Allow a whisker of slack over zero. *)
+  checkb
+    (Printf.sprintf "collisions (%d) under 1%%" !collisions)
+    true
+    (!collisions * 100 < !pairs);
+  (* Direction matters: a->b and b->a are different links. *)
+  let a = Address.make ~role:"replica" ~index:0 in
+  let b = Address.make ~role:"replica" ~index:1 in
+  checkb "asymmetric" true (Transport.link_hash a b <> Transport.link_hash b a)
+
+(* The address population a 64-shard deployment actually creates: role
+   strings carry the shard prefix ("s17.replica"), so the mix has to
+   spread structured, highly-similar strings — exactly where a weak
+   string hash would cluster. *)
+let shard_scale_addrs () =
+  List.concat
+    (List.init 64 (fun s ->
+         List.init 3 (fun i ->
+             Address.make ~role:(Printf.sprintf "s%d.replica" s) ~index:i)
+         @ List.init 2 (fun i ->
+               Address.make ~role:(Printf.sprintf "s%d.client" s) ~index:i)
+         @ [ Address.make ~role:"router" ~index:s ]))
+
+let test_link_hash_shard_scale () =
+  let addrs = shard_scale_addrs () in
+  checki "population" 384 (List.length addrs);
+  let seen = Hashtbl.create (1 lsl 18) in
+  let pairs = ref 0 and collisions = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          incr pairs;
+          let h = Transport.link_hash a b in
+          checkb "non-negative" true (h >= 0);
+          (match Hashtbl.find_opt seen h with
+          | Some (a', b') when not (Address.equal a a' && Address.equal b b') ->
+              incr collisions
+          | _ -> ());
+          Hashtbl.replace seen h (a, b))
+        addrs)
+    addrs;
+  checki "all ordered pairs hashed" (384 * 384) !pairs;
+  (* 147k pairs into a 62-bit space: collisions mean the inline integer
+     mix degenerates on prefixed role strings. *)
+  checki
+    (Printf.sprintf "collisions (%d) at shard scale" !collisions)
+    0 !collisions
+
 let () =
   Alcotest.run "xnet"
     [
@@ -583,5 +659,10 @@ let () =
           tc "crashed sender stops" test_reliable_crashed_sender_stops;
           tc "retransmit cap is metric-only" test_reliable_cap_is_metric_only;
           QCheck_alcotest.to_alcotest prop_reliable_exactly_once_fifo;
+        ] );
+      ( "link hash",
+        [
+          tc "collision sanity" test_link_hash_collisions;
+          tc "64-shard population collision-free" test_link_hash_shard_scale;
         ] );
     ]

@@ -4,6 +4,7 @@
 module Stats = Xworkload.Stats
 module Runner = Xworkload.Runner
 module Workloads = Xworkload.Workloads
+module Bench_compare = Xworkload.Bench_compare
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -117,6 +118,83 @@ let test_workload_constructors () =
   in
   checkb "ok" true (Runner.ok r1)
 
+(* ------------------------------------------------------------------ *)
+(* Bench_compare: one-sided paths, zero baselines, metric directions *)
+
+let diff_to_string ?threshold a b =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let summary =
+    Bench_compare.diff ~ppf ?threshold ~name_a:"a" ~name_b:"b"
+      (Bench_compare.Json.parse a) (Bench_compare.Json.parse b)
+  in
+  Format.pp_print_flush ppf ();
+  (summary, Buffer.contents buf)
+
+let contains s sub =
+  let ls = String.length sub and ln = String.length s in
+  let rec at i = i + ls <= ln && (String.sub s i ls = sub || at (i + 1)) in
+  at 0
+
+let test_compare_missing_paths () =
+  let summary, out =
+    diff_to_string {|{"kept":1,"gone":5}|} {|{"kept":1,"fresh":7}|}
+  in
+  checki "compared" 1 summary.Bench_compare.compared;
+  checki "only in a" 1 summary.Bench_compare.only_a;
+  checki "only in b" 1 summary.Bench_compare.only_b;
+  checkb "gone renders n/a" true (contains out "gone");
+  checkb "n/a marker present" true (contains out "n/a")
+
+let test_compare_zero_baseline () =
+  (* 0 -> nonzero used to mean an infinite delta; it must render, not
+     raise, and count as shown. *)
+  let summary, _ = diff_to_string {|{"x":0}|} {|{"x":3}|} in
+  checki "compared" 1 summary.Bench_compare.compared;
+  checki "shown" 1 summary.Bench_compare.shown
+
+let test_compare_regression_direction () =
+  let summary, out =
+    diff_to_string {|{"req_per_s":100,"latency_p95":10}|}
+      {|{"req_per_s":50,"latency_p95":20}|}
+  in
+  checki "both regress" 2 summary.Bench_compare.regressions;
+  checkb "marked" true (contains out "REGRESSION")
+
+let test_compare_msgs_per_request_direction () =
+  (* Message-economy metrics are lower-better: a rising msgs/request (or
+     lease miss/expiry count) is a regression, a falling one an
+     improvement — not unjudged noise. *)
+  List.iter
+    (fun leaf ->
+      checkb (leaf ^ " is lower-better") true
+        (Bench_compare.metric_direction ("e16_lease.rows[0]." ^ leaf)
+        = `Lower_better))
+    [
+      "msgs_per_request";
+      "messages_per_request";
+      "msgs_per_req";
+      "lease_misses";
+      "lease_expiries";
+    ];
+  let summary, out =
+    diff_to_string {|{"msgs_per_request":2.0}|} {|{"msgs_per_request":4.0}|}
+  in
+  checki "increase regresses" 1 summary.Bench_compare.regressions;
+  checkb "marked" true (contains out "REGRESSION");
+  let summary, out =
+    diff_to_string {|{"msgs_per_request":4.0}|} {|{"msgs_per_request":2.0}|}
+  in
+  checki "decrease is not a regression" 0 summary.Bench_compare.regressions;
+  checkb "improved" true (contains out "improved")
+
+let test_compare_parse_error () =
+  checkb "trailing garbage rejected" true
+    (try
+       ignore (Bench_compare.Json.parse "{} junk");
+       false
+     with Bench_compare.Json.Parse_error _ -> true)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -137,5 +215,13 @@ let () =
           tc "records submissions" test_runner_records_submissions;
           tc "failure listing" test_runner_failures_listing;
           tc "workload constructors" test_workload_constructors;
+        ] );
+      ( "bench compare",
+        [
+          tc "missing paths render n/a" test_compare_missing_paths;
+          tc "zero baseline" test_compare_zero_baseline;
+          tc "regression direction" test_compare_regression_direction;
+          tc "msgs/request direction" test_compare_msgs_per_request_direction;
+          tc "parse error" test_compare_parse_error;
         ] );
     ]
