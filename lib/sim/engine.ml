@@ -26,6 +26,8 @@ type obs = {
   o_run : Xobs.Span.t;        (* engine.run *)
 }
 
+type entry = (int * int) * (string * (unit -> unit))
+
 type t = {
   mutable vnow : int;
   mutable seq : int;
@@ -37,6 +39,9 @@ type t = {
   mutable errs : (int * string * exn) list;
   mutable chooser : chooser option;
   mutable window : int;
+  mutable ready : entry array;
+      (* the decision in progress: its window, off the queue *)
+  mutable n_ready : int;
   mutable choice_points : int;
   obs : obs option;
 }
@@ -65,13 +70,18 @@ let create ?(seed = 42) ?(trace_enabled = true) () =
     errs = [];
     chooser = None;
     window = 1;
+    ready = [||];
+    n_ready = 0;
     choice_points = 0;
     obs = make_obs ();
   }
 
+let no_entry : entry = ((0, 0), ("", ignore))
+
 let set_chooser t ?(window = 4) chooser =
   t.chooser <- chooser;
-  t.window <- max 1 window
+  t.window <- max 1 window;
+  t.ready <- Array.make t.window no_entry
 
 let choice_points t = t.choice_points
 
@@ -100,7 +110,7 @@ let schedule t ?(label = "cb") ~delay cb =
 let request_stop t = t.stop <- true
 let stop_requested t = t.stop
 let errors t = List.rev t.errs
-let pending_events t = Heap.size t.queue
+let pending_events t = Heap.size t.queue + t.n_ready
 
 let handler t (f : fiber) : (unit, unit) Effect.Deep.handler =
   {
@@ -155,36 +165,61 @@ let yield t = sleep t 0
 (* Pop the next event.  Without a chooser this is the plain heap pop
    (FIFO among same-time events).  With one, the chooser sees a window of
    the [window] up-next events within [limit] and picks which runs first.
+   Keys are unique and ordered by time first, so that window is exactly
+   the first [window] pops within [limit]: they come off the queue, the
+   chooser picks one, and the others go back under their own keys.  A
+   decision costs O(window * log n) and allocates O(window) words, however
+   deep the queue.
    Picking a later entry models extra asynchrony: the passed-over events
    execute later in virtual time than originally scheduled, which the
    asynchronous model always allows.  Virtual time stays monotone: an
    event chosen from the future advances the clock, and the deferred
    events then run at that later time. *)
+let rec fill_ready t ~limit =
+  if t.n_ready < t.window then
+    match Heap.pop t.queue with
+    | None -> ()
+    | Some (((time, _), _) as e) when time > limit -> Heap.push t.queue e
+    | Some e ->
+        t.ready.(t.n_ready) <- e;
+        t.n_ready <- t.n_ready + 1;
+        fill_ready t ~limit
+
+(* Put the window back on the queue, all but entry [keep]. *)
+let restore_ready t ~keep =
+  for i = 0 to t.n_ready - 1 do
+    if i <> keep then Heap.push t.queue t.ready.(i)
+  done;
+  t.n_ready <- 0
+
 let pop_next t ~limit =
   match t.chooser with
   | None -> Heap.pop t.queue
-  | Some choose -> (
-      let ready =
-        Heap.smallest t.queue ~pred:(fun (time, _) -> time <= limit) t.window
-      in
-      match ready with
-      | [] -> None
-      | [ (key, _) ] -> Heap.remove_key t.queue key
-      | _ :: _ ->
-          let labels =
-            Array.of_list (List.map (fun (_, (lbl, _)) -> lbl) ready)
-          in
-          let step = t.choice_points in
-          t.choice_points <- t.choice_points + 1;
-          (match t.obs with
-          | Some o ->
-              Xobs.Counter.incr o.o_choices;
-              Xobs.Histogram.record o.o_window (Array.length labels)
-          | None -> ());
-          let k = choose ~step ~ready:labels in
-          let k = if k < 0 then 0 else min k (List.length ready - 1) in
-          let key, _ = List.nth ready k in
-          Heap.remove_key t.queue key)
+  | Some choose ->
+      fill_ready t ~limit;
+      let n = t.n_ready in
+      if n <= 1 then begin
+        t.n_ready <- 0;
+        if n = 0 then None else Some t.ready.(0)
+      end
+      else begin
+        let labels = Array.init n (fun i -> fst (snd t.ready.(i))) in
+        let step = t.choice_points in
+        t.choice_points <- t.choice_points + 1;
+        (match t.obs with
+        | Some o ->
+            Xobs.Counter.incr o.o_choices;
+            Xobs.Histogram.record o.o_window n
+        | None -> ());
+        match choose ~step ~ready:labels with
+        | k ->
+            let k = if k < 0 then 0 else min k (n - 1) in
+            restore_ready t ~keep:k;
+            Some t.ready.(k)
+        | exception e ->
+            restore_ready t ~keep:(-1);
+            raise e
+      end
 
 let run ?(limit = max_int) t =
   t.stop <- false;

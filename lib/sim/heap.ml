@@ -47,12 +47,14 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let add t k v =
-  if t.len = 0 && Array.length t.data = 0 then t.data <- Array.make 16 (k, v);
-  if t.len = Array.length t.data then grow t;
-  t.data.(t.len) <- (k, v);
+let push t entry =
+  if Array.length t.data = 0 then t.data <- Array.make 16 entry
+  else if t.len = Array.length t.data then grow t;
+  t.data.(t.len) <- entry;
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
+
+let add t k v = push t (k, v)
 
 let peek t = if t.len = 0 then None else Some t.data.(0)
 
@@ -67,48 +69,3 @@ let pop t =
     end;
     Some root
   end
-
-(* The explorer needs to look past the root: the [n] smallest entries
-   whose key satisfies [pred], in ascending key order.  A linear scan
-   with an insertion buffer is cheap for the small windows (<= 8) the
-   schedule explorer asks for, and costs nothing when unused. *)
-let smallest t ~pred n =
-  if n <= 0 then []
-  else begin
-    let buf = ref [] and count = ref 0 in
-    for i = 0 to t.len - 1 do
-      let ((k, _) as entry) = t.data.(i) in
-      if pred k then begin
-        let rec insert = function
-          | [] -> [ entry ]
-          | (k', _) :: _ as rest when k < k' -> entry :: rest
-          | e :: rest -> e :: insert rest
-        in
-        buf := insert !buf;
-        incr count;
-        if !count > n then begin
-          (* Drop the largest: keep the buffer at [n] entries. *)
-          buf := List.filteri (fun j _ -> j < n) !buf;
-          count := n
-        end
-      end
-    done;
-    !buf
-  end
-
-let remove_key t key =
-  let rec find i = if i >= t.len then None
-    else if fst t.data.(i) = key then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let entry = t.data.(i) in
-      t.len <- t.len - 1;
-      if i < t.len then begin
-        t.data.(i) <- t.data.(t.len);
-        sift_down t i;
-        sift_up t i
-      end;
-      Some entry

@@ -9,20 +9,15 @@ val create : unit -> ('k, 'v) t
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 
+val push : ('k, 'v) t -> 'k * 'v -> unit
+(** [push t entry] is [add t k v] for [entry = (k, v)], reusing the
+    entry: an entry taken off by {!pop} goes back without a new pair. *)
+
 val peek : ('k, 'v) t -> ('k * 'v) option
 (** Smallest key, without removing it. *)
 
 val pop : ('k, 'v) t -> ('k * 'v) option
 (** Remove and return the entry with the smallest key. *)
-
-val smallest : ('k, 'v) t -> pred:('k -> bool) -> int -> ('k * 'v) list
-(** [smallest t ~pred n] returns the at-most-[n] smallest entries whose
-    key satisfies [pred], in ascending key order, without removing them.
-    Linear scan: intended for the explorer's small ready windows. *)
-
-val remove_key : ('k, 'v) t -> 'k -> ('k * 'v) option
-(** Remove the (first) entry with exactly this key.  The simulator's keys
-    are unique [(time, seq)] pairs, so "first" is "the" entry. *)
 
 val size : ('k, 'v) t -> int
 

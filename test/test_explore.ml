@@ -317,6 +317,77 @@ let test_explore_pool_size_independent () =
     (Explorer.verdict_to_json v4)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned runs: three schedule lines and what they replay to *)
+
+(* Each line's trace fingerprint, choice points and verdict, as recorded
+   when these lines were written: a random-walk trial (shifts deep into
+   the run), a two-delay delay-DFS line, and a lease-edge line on the
+   seqlog substrate, all on the booking scenario of [xrepl explore]'s
+   defaults.  A change to how the engine offers or applies choices must
+   leave all three runs as they are. *)
+let pinned_walk =
+  String.concat ""
+    [
+      "v1 seed=42 win=4 mut=faithful crashes=- ccrash=- ";
+      "noise=0x1p-2:150:10000 net=- parts=- netf=- bat=- load=- shifts=";
+      "19:1,23:3,36:1,48:1,58:2,64:1,65:2,82:1,96:1,98:2,121:2";
+      ",122:3,123:3,128:2,133:1,134:2,142:3,149:2,153:3,158:1,161:2";
+      ",172:1,184:2,185:3,190:3,196:3,198:3,200:2,214:2,215:1,220:2";
+      ",229:3,233:2,238:3,247:2,253:1,254:3,278:3,285:3,309:3,319:3";
+      ",326:2,330:1,337:1,347:1,350:1,359:2,367:3,369:3,370:2,374:3";
+      ",376:3,386:2,387:3,397:2,400:2,411:2,413:3,419:3,421:2,422:3";
+      ",433:2,440:3,442:1,446:2,450:1,452:1,457:3,462:2,463:2,467:1";
+      ",471:2,474:1,475:2,489:3,500:3,508:1,514:3,516:2,517:2,529:3";
+      ",540:3,544:1,560:2,573:1,577:2,599:2,600:1,603:2,606:3,612:2";
+      ",620:1,622:2,627:3,628:2,633:1,657:3,658:2,675:1,692:3,697:1";
+      ",701:1,703:1,726:1,727:1,733:1,734:1,736:1,740:3,746:2,772:1";
+      ",774:2,783:2,785:2,786:3,787:1,789:1,791:3,804:2,815:1,821:1";
+      ",824:1,827:1,830:1,834:3,837:1,849:3,860:2,890:2,893:1,906:2";
+      ",915:3,929:1,937:1,951:1,952:1,964:2,966:2,978:3,981:2,985:2";
+      ",996:3,1008:3,1011:1,1012:1,1029:2,1045:2,1049:2,1053:1";
+      ",1056:2,1059:2,1066:3,1079:1,1088:2,1092:2,1094:1,1095:3";
+      ",1098:3,1108:1,1117:2,1136:3,1137:2,1138:3,1143:3,1147:1";
+      ",1174:2,1178:1,1192:3,1197:2,1198:2,1217:2,1222:3,1224:1";
+      ",1230:2,1239:2,1249:3,1254:1,1260:2,1265:1,1266:3,1285:3";
+      ",1287:2,1289:1,1310:2,1317:3,1324:1,1334:1,1344:3,1351:1";
+      ",1369:3,1384:1,1392:1,1393:2,1395:1,1397:3,1413:2,1425:3";
+      ",1432:3,1447:1,1449:1,1455:3,1458:1,1461:2,1477:2,1480:1";
+      ",1481:1,1488:1,1489:1,1495:1,1530:3,1531:3,1534:3,1535:1";
+      ",1538:1,1550:3,1554:3";
+    ]
+
+let pinned_runs =
+  [
+    ("random walk", pinned_walk, -1270338496146070356, 1562);
+    ( "delay-dfs",
+      "v1 seed=42 win=4 mut=faithful crashes=- ccrash=- \
+       noise=0x1p-2:150:10000 net=- parts=- netf=- bat=- load=- \
+       shifts=12:3,30:1",
+      2594777429501630789,
+      1543 );
+    ( "lease-edge seqlog",
+      "v1 seed=42 win=1 mut=faithful crashes=200:0 ccrash=- noise=- net=- \
+       parts=- netf=- bat=- load=2:4 shifts=- lease=1 sub=seqlog",
+      1231406449010249509,
+      0 );
+  ]
+
+let test_pinned_runs () =
+  let sc = Explorer.booking ~requests:6 () in
+  List.iter
+    (fun (what, line, fp, steps) ->
+      match Schedule.of_string line with
+      | None -> Alcotest.failf "%s: line does not parse" what
+      | Some sch ->
+          checks (what ^ ": line round-trips") line (Schedule.to_string sch);
+          let o, _, trace = Explorer.replay ~with_trace:true sc sch in
+          checki (what ^ ": trace fingerprint") fp
+            (Xsim.Trace.fingerprint trace);
+          checki (what ^ ": choice points") steps o.Explorer.steps;
+          Alcotest.(check (list string)) (what ^ ": verdict") [] o.violations)
+    pinned_runs
+
+(* ------------------------------------------------------------------ *)
 (* Explorer: the self-test — every planted bug is found and shrunk *)
 
 let test_mutation_found m () =
@@ -923,6 +994,8 @@ let () =
             test_shifts_change_behaviour;
           Alcotest.test_case "verdict independent of pool size" `Quick
             test_explore_pool_size_independent;
+          Alcotest.test_case "pinned lines keep their runs" `Quick
+            test_pinned_runs;
         ] );
       ( "hunt",
         [

@@ -476,6 +476,164 @@ let test_engine_current_fiber_name () =
   Alcotest.(check string) "inside" "who-am-i" !name;
   Alcotest.(check string) "outside" "-" (Engine.current_fiber_name eng)
 
+(* ------------------------------------------------------------------ *)
+(* Engine: choosers *)
+
+(* An event of a random run: [delay] after it is scheduled it runs, and
+   schedules its [kids] in order.  Labels are unique, so the executed
+   sequence names every event. *)
+type ev = { lbl : string; delay : int; kids : ev list }
+
+let rec pp_ev fmt e =
+  Format.fprintf fmt "%s+%d[%a]" e.lbl e.delay
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ev)
+    e.kids
+
+(* Delays are mostly 0..3, so most events tie with another. *)
+let gen_events =
+  let open QCheck.Gen in
+  let delay = frequency [ (3, return 0); (3, int_bound 3); (1, int_bound 40) ] in
+  let shape =
+    fix
+      (fun self depth ->
+        map2
+          (fun delay kids -> { lbl = ""; delay; kids })
+          delay
+          (if depth = 0 then return []
+           else list_size (int_bound 3) (self (depth - 1))))
+      2
+  in
+  map
+    (fun shapes ->
+      let n = ref 0 in
+      let rec label e =
+        incr n;
+        let lbl = "e" ^ string_of_int !n in
+        { e with lbl; kids = List.map label e.kids }
+      in
+      List.map label shapes)
+    (list_size (int_range 1 12) shape)
+
+(* The chooser's semantics on a sorted list: the window is the first
+   [window] keys with time within [limit], in key order; a single ready
+   event runs without a decision; picks are clamped into the window. *)
+let model_run ~limit ~window ~pick roots =
+  let queue = ref [] and seq = ref 0 and now = ref 0 in
+  let add e =
+    incr seq;
+    queue :=
+      List.sort
+        (fun (a, _) (b, _) -> compare a b)
+        (((!now + e.delay, !seq), e) :: !queue)
+  in
+  List.iter add roots;
+  let ran = ref [] and offered = ref [] and points = ref 0 in
+  let rec loop () =
+    match !queue with
+    | ((time, _), _) :: _ when time <= limit ->
+        let ready =
+          List.filteri
+            (fun i _ -> i < window)
+            (List.filter (fun ((t, _), _) -> t <= limit) !queue)
+        in
+        let k =
+          if List.length ready = 1 then 0
+          else begin
+            let step = !points in
+            incr points;
+            offered := List.map (fun (_, e) -> e.lbl) ready :: !offered;
+            max 0 (min (pick step) (List.length ready - 1))
+          end
+        in
+        let ((time, _) as key), e = List.nth ready k in
+        queue := List.filter (fun (key', _) -> key' <> key) !queue;
+        now := max !now time;
+        ran := (e.lbl, !now) :: !ran;
+        List.iter add e.kids;
+        loop ()
+    | _ -> ()
+  in
+  loop ();
+  (List.rev !ran, List.rev !offered, !points, List.length !queue)
+
+let engine_run ~limit ~window ~pick roots =
+  let eng = Engine.create ~trace_enabled:false () in
+  let ran = ref [] and offered = ref [] in
+  let rec add e =
+    Engine.schedule eng ~label:e.lbl ~delay:e.delay (fun () ->
+        ran := (e.lbl, Engine.now eng) :: !ran;
+        List.iter add e.kids)
+  in
+  List.iter add roots;
+  Engine.set_chooser eng ~window
+    (Some
+       (fun ~step ~ready ->
+         offered := Array.to_list ready :: !offered;
+         pick step));
+  Engine.run ~limit eng;
+  ( List.rev !ran,
+    List.rev !offered,
+    Engine.choice_points eng,
+    Engine.pending_events eng )
+
+let test_chooser_matches_model =
+  let arb =
+    QCheck.make
+      ~print:(fun (roots, limit, window, picks) ->
+        Format.asprintf "limit=%d window=%d picks=[%s]@ %a" limit window
+          (String.concat ";" (List.map string_of_int picks))
+          (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ev)
+          roots)
+      QCheck.Gen.(
+        quad gen_events
+          (frequency [ (1, return max_int); (3, int_bound 60) ])
+          (int_range 1 8)
+          (list_size (int_bound 24) (int_range (-3) 10)))
+  in
+  QCheck.Test.make ~name:"chooser window = first keys within limit"
+    ~count:500 arb (fun (roots, limit, window, picks) ->
+      let pick step =
+        match picks with
+        | [] -> 0
+        | _ -> List.nth picks (step mod List.length picks)
+      in
+      model_run ~limit ~window ~pick roots
+      = engine_run ~limit ~window ~pick roots)
+
+(* Minor words per event of a chain of trivial events over [queued] idle
+   ones, which fill the rest of every ready window. *)
+let chooser_words_per_step ~queued ~window =
+  let steps = 4_000 in
+  let eng = Engine.create ~trace_enabled:false () in
+  for _ = 1 to queued do
+    Engine.schedule eng ~delay:(steps + 10) ignore
+  done;
+  let left = ref steps in
+  let rec step () =
+    decr left;
+    if !left > 0 then Engine.schedule eng ~delay:1 step
+    else Engine.request_stop eng
+  in
+  Engine.schedule eng ~delay:1 step;
+  Engine.set_chooser eng ~window (Some (fun ~step:_ ~ready:_ -> 0));
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let words = (Gc.minor_words () -. w0) /. float_of_int steps in
+  checki "every chain event was a decision" steps (Engine.choice_points eng);
+  words
+
+let test_chooser_cost_independent_of_depth () =
+  List.iter
+    (fun window ->
+      let shallow = chooser_words_per_step ~queued:16 ~window in
+      let deep = chooser_words_per_step ~queued:1_024 ~window in
+      checkb
+        (Printf.sprintf "window %d: %.1f words/step over 16 queued, %.1f over 1024"
+           window shallow deep)
+        true
+        (Float.abs (deep -. shallow) <= 0.01 *. shallow))
+    [ 2; 4 ]
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -532,6 +690,9 @@ let () =
             test_engine_resumer_refused_after_kill;
           Alcotest.test_case "current fiber name" `Quick
             test_engine_current_fiber_name;
+          qcheck test_chooser_matches_model;
+          Alcotest.test_case "decision cost independent of depth" `Quick
+            test_chooser_cost_independent_of_depth;
         ] );
       ( "ivar",
         [
