@@ -38,6 +38,7 @@ type 'v member_state = {
   addr : Addr.t;
   index : int;
   insts : (string, 'v acceptor) Hashtbl.t;
+  learned : Decisions.t;  (** instances decided here, in learning order *)
   campaigns : (string * int, 'v campaign) Hashtbl.t;
   mutable attempt_hint : int;
 }
@@ -78,6 +79,7 @@ let record_decision g st inst value =
   let a = acceptor st inst in
   if a.decided = None then begin
     a.decided <- Some value;
+    Decisions.add st.learned inst;
     if (not (Hashtbl.mem g.decided_insts inst)) && Xobs.enabled () then
       Xobs.Counter.incr (Xobs.counter "consensus.decisions");
     if not (Hashtbl.mem g.decided_insts inst) then
@@ -171,6 +173,7 @@ let create_group eng ~latency ~members ?(phase_timeout = 400)
           addr;
           index;
           insts = Hashtbl.create 32;
+          learned = Decisions.create ();
           campaigns = Hashtbl.create 16;
           attempt_hint = 0;
         }
@@ -333,13 +336,13 @@ let decided_at g ~member ~inst =
   | Some st -> (acceptor st inst).decided
   | None -> None
 
-let instances_known g ~member =
+let decisions g ~member =
   match Hashtbl.find_opt g.states member with
-  | Some st ->
-      Hashtbl.fold
-        (fun inst a acc -> if a.decided <> None then inst :: acc else acc)
-        st.insts []
-  | None -> []
+  | Some st -> st.learned
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Paxos.decisions: %s is not a member"
+           (Addr.to_string member))
 
 type stats = {
   proposals : int;

@@ -68,9 +68,9 @@ val fast_decide : 'v group -> member:Xnet.Address.t -> inst:string -> 'v -> 'v
 val decided_at :
   'v group -> member:Xnet.Address.t -> inst:string -> 'v option
 
-val instances_known :
-  'v group -> member:Xnet.Address.t -> string list
-(** Instance ids with a locally-known decision at this member. *)
+val decisions : 'v group -> member:Xnet.Address.t -> Decisions.t
+(** Instance ids with a locally-known decision at this member, in the
+    order the member learned them. *)
 
 type stats = {
   proposals : int;  (** propose() calls *)

@@ -4,10 +4,11 @@ type 'v t = {
   latency : int;
   mutable decided : 'v option;
   mutable proposals : int;
+  on_decide : unit -> unit;
 }
 
-let create eng ?(latency = 20) ~name () =
-  { eng; rname = name; latency; decided = None; proposals = 0 }
+let create eng ?(latency = 20) ?(on_decide = ignore) ~name () =
+  { eng; rname = name; latency; decided = None; proposals = 0; on_decide }
 
 let name t = t.rname
 
@@ -33,6 +34,7 @@ let propose t ?(weight = 1) v =
     | Some d -> d
     | None ->
         t.decided <- Some v;
+        t.on_decide ();
         if obs_on then Xobs.Counter.incr (Xobs.counter "consensus.decisions");
         v
   in
@@ -51,6 +53,7 @@ let decide_if_unset t v =
   | Some d -> d
   | None ->
       t.decided <- Some v;
+      t.on_decide ();
       if Xobs.enabled () then
         Xobs.Counter.incr (Xobs.counter "consensus.decisions");
       v

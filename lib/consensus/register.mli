@@ -11,8 +11,14 @@
 type 'v t
 
 val create :
-  Xsim.Engine.t -> ?latency:int -> name:string -> unit -> 'v t
-(** [latency] is the one-way trip time to the register (default 20). *)
+  Xsim.Engine.t ->
+  ?latency:int ->
+  ?on_decide:(unit -> unit) ->
+  name:string ->
+  unit ->
+  'v t
+(** [latency] is the one-way trip time to the register (default 20).
+    [on_decide] runs once, at the instant the register decides. *)
 
 val name : 'v t -> string
 

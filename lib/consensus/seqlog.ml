@@ -32,10 +32,10 @@ type 'v group = {
   forward_timeout : int;
   (* The replicated log, as sequenced by the leader: the group's shared
      authority.  Commits relay entries to the members; recovery-style
-     reads ([decided_at], [instances_known]) may consult the log
-     directly, modelling VR state transfer. *)
+     reads ([decided_at], [decisions]) may consult the log directly,
+     modelling VR state transfer. *)
   log : (string, 'v) Hashtbl.t;
-  mutable log_order : string list;  (* most recent first *)
+  log_order : Decisions.t;  (* in sequence order *)
   mutable seq : int;
   mutable view : int;
   mutable proposals : int;
@@ -70,7 +70,7 @@ let sequence g inst value =
   | None ->
       g.seq <- g.seq + 1;
       Hashtbl.replace g.log inst value;
-      g.log_order <- inst :: g.log_order;
+      Decisions.add g.log_order inst;
       if Xobs.enabled () then
         Xobs.Counter.incr (Xobs.counter "consensus.decisions");
       (value, true)
@@ -104,7 +104,7 @@ let create_group eng ~latency ~members ?(forward_timeout = 600) () =
       member_list = List.map fst members;
       forward_timeout;
       log = Hashtbl.create 64;
-      log_order = [];
+      log_order = Decisions.create ();
       seq = 0;
       view = 0;
       proposals = 0;
@@ -208,7 +208,7 @@ let decided_at g ~member ~inst =
       | Some v -> Some v
       | None -> Hashtbl.find_opt g.log inst)
 
-let instances_known g ~member =
+let decisions g ~member =
   ignore member;
   g.log_order
 

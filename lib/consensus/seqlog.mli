@@ -15,7 +15,7 @@
     same modelling choice {!Register} makes for its decision point);
     the commit fan-out and each member's local learning are real counted
     messages on the group's own transport.  [read] is member-local
-    knowledge, like {!Paxos}; {!decided_at} and {!instances_known} also
+    knowledge, like {!Paxos}; {!decided_at} and {!decisions} also
     consult the log itself, modelling VR state transfer (recovery reads).
 
     A member daemon dies with its process, so a crashed leader stops
@@ -51,8 +51,9 @@ val read : 'v handle -> 'v option
 val decided_at : 'v group -> member:Xnet.Address.t -> inst:string -> 'v option
 (** Local knowledge, falling back to the log (recovery read). *)
 
-val instances_known : 'v group -> member:Xnet.Address.t -> string list
-(** All committed instances (the log is the group's shared authority). *)
+val decisions : 'v group -> member:Xnet.Address.t -> Decisions.t
+(** All committed instances, in sequence order (the log is the group's
+    shared authority, so every member reads the same one). *)
 
 val fast_decide : 'v group -> member:Xnet.Address.t -> inst:string -> 'v -> 'v
 (** Leased fast path: decide [inst] unilaterally at the log (first value

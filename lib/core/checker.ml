@@ -75,6 +75,11 @@ let check ~kinds ~logical_of ?(round_of = fun _ -> None)
   let group_id : (string, Action.name * Value.t) Hashtbl.t =
     Hashtbl.create 16
   in
+  (* Index of the first start event of each (action, logical) pair, under
+     its group key: the order check's request boundaries. *)
+  let starts : (string, (Action.name * Value.t * int) list) Hashtbl.t =
+    Hashtbl.create 16
+  in
   List.iter
     (fun (i, e) ->
       let base = Action.base (Event.action e) in
@@ -82,6 +87,15 @@ let check ~kinds ~logical_of ?(round_of = fun _ -> None)
       let key = group_key base logical in
       if not (Hashtbl.mem group_id key) then
         Hashtbl.replace group_id key (base, logical);
+      (if check_order && Event.is_start e then
+         let seen = Option.value (Hashtbl.find_opt starts key) ~default:[] in
+         if
+           not
+             (List.exists
+                (fun (a, l, _) ->
+                  Action.equal_name a base && Value.equal l logical)
+                seen)
+         then Hashtbl.replace starts key ((base, logical, i) :: seen));
       (match Hashtbl.find_opt groups_tbl key with
       | Some cell -> cell := (i, e) :: !cell
       | None -> Hashtbl.replace groups_tbl key (ref [ (i, e) ])))
@@ -205,16 +219,12 @@ let check ~kinds ~logical_of ?(round_of = fun _ -> None)
   (* Order discipline: request i's first completion precedes request i+1's
      first start. *)
   let first_start exp =
-    List.find_map
-      (fun (i, e) ->
-        let base = Action.base (Event.action e) in
-        if
-          Action.equal_name base exp.action
-          && Value.equal (logical_of base (Event.input e)) exp.logical
-          && Event.is_start e
-        then Some i
-        else None)
-      indexed
+    Hashtbl.find_opt starts (group_key exp.action exp.logical)
+    |> Option.value ~default:[]
+    |> List.find_map (fun (a, l, i) ->
+           if Action.equal_name a exp.action && Value.equal l exp.logical then
+             Some i
+           else None)
   in
   let rec order_violations = function
     | g1 :: (g2 :: _ as rest) ->

@@ -44,6 +44,12 @@ type report = {
   violations : string list;
 }
 
+val group_key : Action.name -> Value.t -> string
+(** The key a history event or an expected request is grouped under:
+    [group_key action logical].  Equal (action, logical) pairs always
+    share a key; distinct pairs may in principle collide, so a lookup by
+    key still compares the pair itself. *)
+
 type engine =
   [ `Search  (** the faithful reduction search only (exponential) *)
   | `Fast  (** the linear {!Analyzer} only (protocol-shaped histories) *)

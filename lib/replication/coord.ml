@@ -19,10 +19,14 @@ module type SUBSTRATE = sig
 
   val read : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 
+  val read_takes_time : bool
+  (** [read] yields to the simulator (it models a round trip). *)
+
   val peek : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
   (** Instant local view: no latency, no messages. *)
 
-  val instances_known : t -> member:Xnet.Address.t -> string list
+  val decisions : t -> member:Xnet.Address.t -> Xconsensus.Decisions.t
+  (** The instances [member] knows decided, in the order it learned them. *)
 
   val fast_decide :
     t -> member:Xnet.Address.t -> inst:string -> Pval.t -> Pval.t
@@ -47,6 +51,9 @@ module Register_sub = struct
     eng : Xsim.Engine.t;
     latency : int;
     table : (string, Pval.t Xconsensus.Register.t) Hashtbl.t;
+    decided : Xconsensus.Decisions.t;
+        (** every decided register, in decision order: one service, so
+            every member knows the same decisions *)
     mutable proposals : int;
     mutable full_proposes : int;
         (** round-trip proposes only (not fast decides), for the model *)
@@ -59,6 +66,7 @@ module Register_sub = struct
       eng;
       latency;
       table = Hashtbl.create 64;
+      decided = Xconsensus.Decisions.create ();
       proposals = 0;
       full_proposes = 0;
     }
@@ -68,7 +76,9 @@ module Register_sub = struct
     | Some obj -> obj
     | None ->
         let obj =
-          Xconsensus.Register.create t.eng ~latency:t.latency ~name:inst ()
+          Xconsensus.Register.create t.eng ~latency:t.latency
+            ~on_decide:(fun () -> Xconsensus.Decisions.add t.decided inst)
+            ~name:inst ()
         in
         Hashtbl.replace t.table inst obj;
         obj
@@ -79,19 +89,14 @@ module Register_sub = struct
     Xconsensus.Register.propose (obj t inst) ~weight v
 
   let read t ~member:_ ~inst = Xconsensus.Register.read (obj t inst)
+  let read_takes_time = true
 
   let peek t ~member:_ ~inst =
     match Hashtbl.find_opt t.table inst with
     | Some obj -> Xconsensus.Register.peek obj
     | None -> None
 
-  let instances_known t ~member:_ =
-    Hashtbl.fold
-      (fun inst obj acc ->
-        match Xconsensus.Register.peek obj with
-        | Some _ -> inst :: acc
-        | None -> acc)
-      t.table []
+  let decisions t ~member:_ = t.decided
 
   let fast_decide t ~member:_ ~inst v =
     t.proposals <- t.proposals + 1;
@@ -120,8 +125,9 @@ module Paxos_sub = struct
   let read g ~member ~inst =
     Xconsensus.Paxos.read (Xconsensus.Paxos.handle g ~member ~inst)
 
+  let read_takes_time = false
   let peek g ~member ~inst = Xconsensus.Paxos.decided_at g ~member ~inst
-  let instances_known g ~member = Xconsensus.Paxos.instances_known g ~member
+  let decisions g ~member = Xconsensus.Paxos.decisions g ~member
   let fast_decide g ~member ~inst v = Xconsensus.Paxos.fast_decide g ~member ~inst v
   let total_proposals g = (Xconsensus.Paxos.stats g).proposals
   let messages_sent g = (Xconsensus.Paxos.stats g).messages_sent
@@ -141,8 +147,9 @@ module Seqlog_sub = struct
       ~weight v
 
   let read g ~member ~inst = Xconsensus.Seqlog.decided_at g ~member ~inst
+  let read_takes_time = false
   let peek g ~member ~inst = Xconsensus.Seqlog.decided_at g ~member ~inst
-  let instances_known g ~member = Xconsensus.Seqlog.instances_known g ~member
+  let decisions g ~member = Xconsensus.Seqlog.decisions g ~member
 
   let fast_decide g ~member ~inst v =
     Xconsensus.Seqlog.fast_decide g ~member ~inst v
@@ -276,30 +283,26 @@ let peek_raw t ~member ~inst =
   let (Sub ((module S), s)) = t.sub in
   S.peek s ~member ~inst
 
-(* Decided batch-log slots known at this member, as (slot, decision)
-   pairs.  Cleaners use this to discover batches whose owner crashed. *)
-let known_batch_slots t ~member =
-  let (Sub ((module S), s)) = t.sub in
-  List.fold_left
-    (fun acc inst ->
-      match Pval.parse_batch_inst inst with
-      | Some slot -> (
-          match S.peek s ~member ~inst with
-          | Some v -> (slot, Pval.strip v) :: acc
-          | None -> acc)
-      | None -> acc)
-    []
-    (S.instances_known s ~member)
+let read_takes_time t =
+  let (Sub ((module S), _)) = t.sub in
+  S.read_takes_time
 
-let known_owner_instances t ~member =
+(* A member's cursor over the decisions it knows: each [next] returns one
+   it has not returned before, so a reader pays once per decision, not
+   once per decision per look. *)
+type feed = { log : Xconsensus.Decisions.t; mutable seen : int }
+
+let feed t ~member =
   let (Sub ((module S), s)) = t.sub in
-  List.fold_left
-    (fun acc inst ->
-      match Pval.parse_owner_inst inst with
-      | Some pair -> pair :: acc
-      | None -> acc)
-    []
-    (S.instances_known s ~member)
+  { log = S.decisions s ~member; seen = 0 }
+
+let next f =
+  if f.seen = Xconsensus.Decisions.length f.log then None
+  else begin
+    let inst = Xconsensus.Decisions.get f.log f.seen in
+    f.seen <- f.seen + 1;
+    Some inst
+  end
 
 let total_proposals t =
   let (Sub ((module S), s)) = t.sub in

@@ -74,11 +74,6 @@ val read : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** The paper's [read()]: decided value or ⊥.  For [`Paxos]/[`Seqlog]
     this is the member's local knowledge. *)
 
-val known_owner_instances : t -> member:Xnet.Address.t -> (int * int) list
-(** Owner-agreement instances with a decision known at this member, as
-    (rid, round) pairs.  Cleaners use this to discover requests and their
-    latest rounds. *)
-
 val peek : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** Instant local view of a decision: no latency, no messages.  Globally
     accurate for [`Register]; this member's knowledge for [`Paxos]; local
@@ -88,10 +83,22 @@ val peek_raw : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** Like {!peek} but without stripping {!Pval.Leased} — exposes the
     fence epoch a fast-path decision was taken under. *)
 
-val known_batch_slots : t -> member:Xnet.Address.t -> (int * Pval.t) list
-(** Batch-log slots with a decision known at this member, as
-    (slot, decision) pairs (unsorted).  Cleaners use this to discover
-    batches whose owner is suspected. *)
+val read_takes_time : t -> bool
+(** [true] when {!read} costs a round trip in virtual time ([`Register]);
+    the other substrates read local knowledge instantly. *)
+
+type feed
+(** One member's cursor over the decisions it knows, in the order it
+    learned them. *)
+
+val feed : t -> member:Xnet.Address.t -> feed
+(** A cursor at the start of [member]'s decisions. *)
+
+val next : feed -> string option
+(** The next decided instance id this cursor has not yet returned, or
+    [None] when it has returned every decision known so far.  A decision
+    learned later is returned by a later call.  Cleaners use this to
+    discover requests, rounds and batch slots once each. *)
 
 val total_proposals : t -> int
 

@@ -29,10 +29,56 @@ type metrics = {
 
 type request_state = {
   rid : int;
-  mutable client : Xnet.Address.t option;
+  born : int;  (** creation order: a cleaner pass visits older states only *)
   mutable max_round : int;
+  mutable owner : Xnet.Address.t option;
+      (** the owner decided for [max_round] ([None] while it is 0) *)
+  mutable client_known : bool;
+      (** this replica has seen the request itself or one of its owner
+          decisions; until then a cleaner visit starts by reading round 1 *)
   mutable settled : Value.t option;  (** result already sent to the client *)
 }
+
+module Int_set = Set.Make (Int)
+
+(* Work a cleaner pass may have to visit, filed under the replica that
+   owns it: request ids under the owner of their latest round ([None]
+   before any round is known), batch slots under the slot's owner.  A
+   pass asks for the smallest id above its cursor among the owners it
+   may act against, so it never walks work it cannot act on. *)
+type pending = {
+  mutable by_owner : (Xnet.Address.t option * Int_set.t ref) list;
+}
+
+let pending_cell p key =
+  let rec find = function
+    | (k, cell) :: rest ->
+        if Option.equal Xnet.Address.equal k key then cell else find rest
+    | [] ->
+        let cell = ref Int_set.empty in
+        p.by_owner <- (key, cell) :: p.by_owner;
+        cell
+  in
+  find p.by_owner
+
+let pending_add p key x =
+  let cell = pending_cell p key in
+  cell := Int_set.add x !cell
+
+let pending_remove p key x =
+  let cell = pending_cell p key in
+  cell := Int_set.remove x !cell
+
+let pending_next p ~after ~eligible =
+  List.fold_left
+    (fun best (key, cell) ->
+      if not (eligible key) then best
+      else
+        match (Int_set.find_first_opt (fun x -> x > after) !cell, best) with
+        | Some x, Some b when x >= b -> best
+        | Some x, _ -> Some x
+        | None, _ -> best)
+    None p.by_owner
 
 (* Observability handles, fetched once at [create] when Xobs is on.
    All replicas of a run share the same named cells, so the counters
@@ -76,6 +122,17 @@ type t = {
   cfg : config;
   m : metrics;
   requests : (int, request_state) Hashtbl.t;
+  mutable births : int;
+  pending : pending;  (** request states a cleaner visit could matter for *)
+  mutable dirty : Int_set.t;
+      (** rids with an owner decision learned since the last discovery *)
+  feed : Coord.feed;  (** this replica's cursor over known decisions *)
+  new_rounds : (int * int * Xnet.Address.t) Queue.t;
+      (** owner decisions (rid, round, owner) learned since the last
+          discovery *)
+  new_slots : (int * slot) Queue.t;
+      (** batch slots learned since the last pass began *)
+  timed_reads : bool;  (** {!Coord.read_takes_time} *)
   owned_rounds : (int * int, unit) Hashtbl.t;
       (** (rid, round) pairs this replica is executing, to ignore duplicate
           deliveries of the same request *)
@@ -84,6 +141,9 @@ type t = {
   (* --- batch-log state (inert unless cfg.batching is set) --- *)
   mutable batcher : (Xsm.Request.t * Xnet.Address.t) Batcher.t option;
   slots : (int, slot) Hashtbl.t;  (** locally observed batch-log slots *)
+  slot_work : pending;
+      (** other replicas' integrated slots that may still have a member
+          to repair, filed under the slot's owner *)
   claims : (int, int) Hashtbl.t;
       (** rid -> first slot claiming it; computed by scanning slots in
           order, so it is identical at every replica *)
@@ -131,13 +191,58 @@ let metrics t = t.m
 let tracef t fmt =
   Xsim.Engine.tracef t.eng ~source:(Xnet.Address.to_string t.r_addr) fmt
 
+(* Is [rs] filed in [t.pending]?  While it is live (unsettled, or its
+   client not yet known) and a visit could matter: always when reads take
+   time, since every visit then costs its reads; otherwise only under
+   another replica, the one a cleaner may come to suspect. *)
+let filed t rs =
+  (rs.settled = None || not rs.client_known)
+  && (t.timed_reads
+     ||
+     match rs.owner with
+     | Some o -> not (Xnet.Address.equal o t.r_addr)
+     | None -> false)
+
+let file t rs = if filed t rs then pending_add t.pending rs.owner rs.rid
+let unfile t rs = if filed t rs then pending_remove t.pending rs.owner rs.rid
+
 let state_of t rid =
   match Hashtbl.find_opt t.requests rid with
   | Some rs -> rs
   | None ->
-      let rs = { rid; client = None; max_round = 0; settled = None } in
+      t.births <- t.births + 1;
+      let rs =
+        {
+          rid;
+          born = t.births;
+          max_round = 0;
+          owner = None;
+          client_known = false;
+          settled = None;
+        }
+      in
       Hashtbl.replace t.requests rid rs;
+      file t rs;
       rs
+
+let settle t rs v =
+  unfile t rs;
+  rs.settled <- Some v;
+  file t rs
+
+let know_client t rs =
+  if not rs.client_known then begin
+    unfile t rs;
+    rs.client_known <- true;
+    file t rs
+  end
+
+(* [round], decided with [owner], is the highest round known. *)
+let raise_round t rs round owner =
+  unfile t rs;
+  rs.max_round <- round;
+  rs.owner <- Some owner;
+  file t rs
 
 let max_round_of t ~rid =
   match Hashtbl.find_opt t.requests rid with
@@ -299,7 +404,7 @@ let known_result t rs (req : Xsm.Request.t) =
 
 let rec process_request t (req : Xsm.Request.t) client =
   let rs = state_of t req.rid in
-  if rs.client = None then rs.client <- Some client;
+  know_client t rs;
   let inst = Pval.owner_inst ~rid:req.rid ~round:req.round in
   let proposal = Pval.Owner { owner = t.r_addr; req; client } in
   (* Leased fast path: while this replica holds the group's lease it
@@ -312,8 +417,8 @@ let rec process_request t (req : Xsm.Request.t) client =
   in
   match decision with
   | Pval.Owner { owner; req = req'; client = client' } ->
-      rs.max_round <- max rs.max_round req'.round;
-      if rs.client = None then rs.client <- Some client';
+      if req'.round > rs.max_round then
+        raise_round t rs req'.round owner;
       if Xnet.Address.equal owner t.r_addr then begin
         (* Mutation hook: the dup-exec variant drops the owned-round test
            (the "testable action" guard) and re-runs execution on every
@@ -345,7 +450,7 @@ let rec process_request t (req : Xsm.Request.t) client =
           | None -> ());
           match decided with
           | Some v ->
-              rs.settled <- Some v;
+              settle t rs v;
               (* A round-1 owner settling cleanly means nobody had to
                  clean: the group is back to primary-backup behaviour. *)
               if req'.round = 1 then note_mode t false;
@@ -372,7 +477,7 @@ let rec process_request t (req : Xsm.Request.t) client =
            answer the (possibly retrying) client ourselves. *)
         match known_result t rs req' with
         | Some v ->
-            rs.settled <- Some v;
+            settle t rs v;
             obs_incr t (fun o -> o.o_dup_replies);
             send_result t ~client ~rid:req'.rid v
         | None -> ()
@@ -395,10 +500,9 @@ and clean_request t rs =
           Coord.read t.coord ~member:t.r_addr
             ~inst:(Pval.owner_inst ~rid:rs.rid ~round:(rs.max_round + 1))
         with
-        | Some (Pval.Owner { req; client; _ }) ->
-            rs.max_round <- rs.max_round + 1;
-            if rs.client = None then rs.client <- Some client;
-            ignore req;
+        | Some (Pval.Owner { owner; _ }) ->
+            raise_round t rs (rs.max_round + 1) owner;
+            know_client t rs;
             advance ()
         | _ -> ()
       in
@@ -439,7 +543,7 @@ and clean_request t rs =
             | Some v ->
                 (* The suspected owner did decide a result; make sure the
                    client gets it (it may never have been sent). *)
-                rs.settled <- Some v;
+                settle t rs v;
                 send_result t ~client ~rid:rs.rid v)
         | _ -> ())
 
@@ -470,12 +574,13 @@ let integrate_slots t =
     t.scanned_slot <- t.scanned_slot + 1;
     let s = Hashtbl.find t.slots t.scanned_slot in
     List.iter
-      (fun ((req : Xsm.Request.t), client) ->
+      (fun ((req : Xsm.Request.t), _) ->
         if not (Hashtbl.mem t.claims req.rid) then
           Hashtbl.replace t.claims req.rid t.scanned_slot;
-        let rs = state_of t req.rid in
-        if rs.client = None then rs.client <- Some client)
-      s.s_members
+        know_client t (state_of t req.rid))
+      s.s_members;
+    if not (Xnet.Address.equal s.s_owner t.r_addr) then
+      pending_add t.slot_work (Some s.s_owner) t.scanned_slot
   done
 
 let lock_slots t =
@@ -562,7 +667,7 @@ let settle_slot_commit t (s : slot) agreed =
             | Action.Undoable ->
                 ignore (finalize_until_success t (Xsm.Request.commit_of req))
             | Action.Idempotent -> ());
-            rs.settled <- Some v;
+            settle t rs v;
             Hashtbl.remove t.batch_pending req.rid;
             send_result t ~client ~rid:req.rid v
           end
@@ -685,102 +790,195 @@ let process_batch t ~bid members =
   | Some o -> Xobs.Span.record o.o_batch ~t0:span_t0 ~t1:(Xsim.Engine.now t.eng)
   | None -> ()
 
-(* Cleaner activity over the batch log: discover decided slots, abort
-   slots whose owner is suspected before the outcome is settled, and
-   finish the work of deciders that crashed after the outcome. *)
+(* The owner a cleaner may act against: another replica it suspects. *)
+let may_act_against t = function
+  | Some o ->
+      (not (Xnet.Address.equal o t.r_addr))
+      && Xdetect.Detector.suspects t.detector ~observer:t.r_addr ~target:o
+  | None -> false
+
+(* Cleaner activity over one batch-log slot: abort it if its owner is
+   suspected before the outcome is settled, and finish the work of a
+   decider that crashed after the outcome.  Once every member is settled
+   here the slot has nothing left to do and leaves [slot_work]. *)
+let visit_slot t slot =
+  let s = Hashtbl.find t.slots slot in
+  (* Only ever act on another replica's slot when its owner is
+     suspected: a live owner settles (or aborts) its own slots in
+     [process_batch], and repairing behind its back would triple every
+     reply.  The owner-crashed-after-deciding case is exactly what the
+     repair arms below cover. *)
+  let orphaned =
+    (not (Xnet.Address.equal s.s_owner t.r_addr))
+    && Xdetect.Detector.suspects t.detector ~observer:t.r_addr
+         ~target:s.s_owner
+  in
+  (match slot_outcome_peek t slot with
+  | None ->
+      if
+        orphaned
+        && List.exists
+             (fun ((req : Xsm.Request.t), _) ->
+               (state_of t req.rid).settled = None)
+             s.s_members
+      then begin
+        t.m.cleanups <- t.m.cleanups + 1;
+        obs_incr t (fun o -> o.o_cleanups);
+        note_mode t true;
+        (match t.lease with
+        | Some l -> Lease.break_suspect l ~suspect:s.s_owner
+        | None -> ());
+        tracef t "cleaning slot %d (suspect %s)" slot
+          (Xnet.Address.to_string s.s_owner);
+        let results =
+          List.map
+            (fun ((req : Xsm.Request.t), _) -> (req.rid, None))
+            s.s_members
+        in
+        let decision =
+          Coord.propose t.coord ~member:t.r_addr
+            ~inst:(Pval.batch_outcome_inst ~slot)
+            (Pval.Batch_outcome { outcome = Pval.Abort; results })
+        in
+        match decision with
+        | Pval.Batch_outcome { outcome = Pval.Abort; _ } ->
+            continue_aborted_slot t ~slot s ~takeover:true
+        | Pval.Batch_outcome { outcome = Pval.Commit; results = agreed } ->
+            (* The owner won the race: make sure the clients get their
+               results (they may never have been sent). *)
+            settle_slot_commit t s agreed
+        | other ->
+            failwith
+              (Format.asprintf "batch outcome decided a foreign value: %a"
+                 Pval.pp other)
+      end
+  | Some (Pval.Batch_outcome { outcome = Pval.Commit; results = agreed }) ->
+      if orphaned then settle_slot_commit t s agreed
+  | Some (Pval.Batch_outcome { outcome = Pval.Abort; _ }) ->
+      if orphaned then continue_aborted_slot t ~slot s ~takeover:true
+  | Some _ -> ());
+  if
+    List.for_all
+      (fun ((req : Xsm.Request.t), _) -> (state_of t req.rid).settled <> None)
+      s.s_members
+  then pending_remove t.slot_work (Some s.s_owner) slot
+
+(* Read the decisions learned since the last look, once each.  Batch
+   slots wait for the next pass to begin and owner decisions for the next
+   discovery: the points where a pass used to list every known decision.
+   During a pass ([mark]), an owner decision also marks its request for a
+   visit, since that visit's round advance may now find it. *)
+let learn t ~mark =
+  let peek inst = Coord.peek t.coord ~member:t.r_addr ~inst in
+  let rec loop () =
+    match Coord.next t.feed with
+    | None -> ()
+    | Some inst ->
+        (* Instance ids follow [Pval]'s naming: the family comes first. *)
+        (match inst.[0] with
+        | 'o' -> (
+            match (Pval.parse_owner_inst inst, peek inst) with
+            | Some (rid, round), Some (Pval.Owner { owner; _ }) ->
+                Queue.add (rid, round, owner) t.new_rounds;
+                if mark then t.dirty <- Int_set.add rid t.dirty
+            | _ -> ())
+        | 'b' when t.batcher <> None -> (
+            match (Pval.parse_batch_inst inst, peek inst) with
+            | Some n, Some (Pval.Batch b) ->
+                let s =
+                  { s_owner = b.owner; s_bid = b.bid; s_members = b.members }
+                in
+                Queue.add (n, s) t.new_slots
+            | _ -> ())
+        | _ -> ());
+        loop ()
+  in
+  loop ()
+
+(* Cleaner activity over the batch log: fold in the slots decided since
+   the last pass, then visit, in slot order, the slots decided by then
+   whose owner is suspected at the moment of the visit. *)
 let clean_batches t =
-  List.iter
-    (fun (n, v) ->
-      match v with
-      | Pval.Batch b ->
-          record_slot t n
-            { s_owner = b.owner; s_bid = b.bid; s_members = b.members }
-      | _ -> ())
-    (Coord.known_batch_slots t.coord ~member:t.r_addr);
+  learn t ~mark:false;
+  Queue.iter (fun (n, s) -> record_slot t n s) t.new_slots;
+  Queue.clear t.new_slots;
   integrate_slots t;
-  for slot = 1 to t.scanned_slot do
-    let s = Hashtbl.find t.slots slot in
-    (* Only ever act on another replica's slot when its owner is
-       suspected: a live owner settles (or aborts) its own slots in
-       [process_batch], and repairing behind its back would triple every
-       reply.  The owner-crashed-after-deciding case is exactly what the
-       repair arms below cover. *)
-    let orphaned =
-      (not (Xnet.Address.equal s.s_owner t.r_addr))
-      && Xdetect.Detector.suspects t.detector ~observer:t.r_addr
-           ~target:s.s_owner
-    in
-    match slot_outcome_peek t slot with
-    | None ->
-        if
-          orphaned
-          && List.exists
-               (fun ((req : Xsm.Request.t), _) ->
-                 (state_of t req.rid).settled = None)
-               s.s_members
-        then begin
-          t.m.cleanups <- t.m.cleanups + 1;
-          obs_incr t (fun o -> o.o_cleanups);
-          note_mode t true;
-          (match t.lease with
-          | Some l -> Lease.break_suspect l ~suspect:s.s_owner
-          | None -> ());
-          tracef t "cleaning slot %d (suspect %s)" slot
-            (Xnet.Address.to_string s.s_owner);
-          let results =
-            List.map
-              (fun ((req : Xsm.Request.t), _) -> (req.rid, None))
-              s.s_members
-          in
-          let decision =
-            Coord.propose t.coord ~member:t.r_addr
-              ~inst:(Pval.batch_outcome_inst ~slot)
-              (Pval.Batch_outcome { outcome = Pval.Abort; results })
-          in
-          match decision with
-          | Pval.Batch_outcome { outcome = Pval.Abort; _ } ->
-              continue_aborted_slot t ~slot s ~takeover:true
-          | Pval.Batch_outcome { outcome = Pval.Commit; results = agreed } ->
-              (* The owner won the race: make sure the clients get their
-                 results (they may never have been sent). *)
-              settle_slot_commit t s agreed
-          | other ->
-              failwith
-                (Format.asprintf "batch outcome decided a foreign value: %a"
-                   Pval.pp other)
-        end
-    | Some (Pval.Batch_outcome { outcome = Pval.Commit; results = agreed }) ->
-        if orphaned then settle_slot_commit t s agreed
-    | Some (Pval.Batch_outcome { outcome = Pval.Abort; _ }) ->
-        if orphaned then continue_aborted_slot t ~slot s ~takeover:true
-    | Some _ -> ()
-  done
+  let bound = t.scanned_slot in
+  let rec loop after =
+    match pending_next t.slot_work ~after ~eligible:(may_act_against t) with
+    | Some slot when slot <= bound ->
+        visit_slot t slot;
+        loop slot
+    | _ -> ()
+  in
+  loop 0
 
+(* Every owner decision known now raises its request's round. *)
 let discover_requests t =
-  List.iter
-    (fun (rid, round) ->
+  learn t ~mark:false;
+  Queue.iter
+    (fun (rid, round, owner) ->
       let rs = state_of t rid in
-      if round > rs.max_round then rs.max_round <- round)
-    (Coord.known_owner_instances t.coord ~member:t.r_addr)
+      if round > rs.max_round then raise_round t rs round owner)
+    t.new_rounds;
+  Queue.clear t.new_rounds;
+  t.dirty <- Int_set.empty
 
+(* The next request after [after], among those existing at the pass's
+   discovery ([born <= stamp]), that a visit could matter for: one filed
+   under an owner this replica may act against — under any owner when
+   reads take time — or one whose round may advance. *)
+let next_request t ~after ~stamp =
+  let eligible key = t.timed_reads || may_act_against t key in
+  let rec go after =
+    let filed = pending_next t.pending ~after ~eligible in
+    let next =
+      match (Int_set.find_first_opt (fun r -> r > after) t.dirty, filed) with
+      | Some d, Some f -> Some (min d f)
+      | Some d, None -> Some d
+      | None, f -> f
+    in
+    match next with
+    | None -> None
+    | Some rid -> (
+        match Hashtbl.find_opt t.requests rid with
+        | Some rs when rs.born <= stamp -> Some rs
+        | _ -> go rid)
+  in
+  go after
+
+(* One request of a pass: a replica that has never seen the request reads
+   its round-1 decision first, then cleans it.  The read only marks the
+   client known, but on the register substrate it is a modelled round
+   trip, and the schedule depends on it. *)
+let visit_request t rs =
+  if not rs.client_known then begin
+    match
+      Coord.read t.coord ~member:t.r_addr
+        ~inst:(Pval.owner_inst ~rid:rs.rid ~round:1)
+    with
+    | Some (Pval.Owner _) -> know_client t rs
+    | _ -> ()
+  end;
+  clean_request t rs
+
+(* Figure 6's cleaner over every request known at the pass's discovery,
+   in rid order, visiting only those a visit could matter for.  Each step
+   re-reads the suspicions and the decisions learned meanwhile, because a
+   visit that acts blocks in consensus and the world moves on. *)
 let cleaner_pass t =
   if t.batcher <> None then clean_batches t;
   discover_requests t;
-  (* Snapshot: cleaning may create request states. *)
-  let states = Hashtbl.fold (fun _ rs acc -> rs :: acc) t.requests [] in
-  List.iter
-    (fun rs ->
-      (* Fill in the client from the round-1 decision if unknown. *)
-      if rs.client = None then begin
-        match
-          Coord.read t.coord ~member:t.r_addr
-            ~inst:(Pval.owner_inst ~rid:rs.rid ~round:1)
-        with
-        | Some (Pval.Owner { client; _ }) -> rs.client <- Some client
-        | _ -> ()
-      end;
-      clean_request t rs)
-    (List.sort (fun a b -> Int.compare a.rid b.rid) states)
+  let stamp = t.births in
+  let rec loop after =
+    learn t ~mark:true;
+    match next_request t ~after ~stamp with
+    | None -> ()
+    | Some rs ->
+        visit_request t rs;
+        loop rs.rid
+  in
+  loop min_int
 
 (* ------------------------------------------------------------------ *)
 
@@ -809,11 +1007,19 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
           replies_sent = 0;
         };
       requests = Hashtbl.create 32;
+      births = 0;
+      pending = { by_owner = [] };
+      dirty = Int_set.empty;
+      feed = Coord.feed coord ~member:r_addr;
+      new_rounds = Queue.create ();
+      new_slots = Queue.create ();
+      timed_reads = Coord.read_takes_time coord;
       owned_rounds = Hashtbl.create 32;
       suspicion_events = Xsim.Mailbox.create ~name:"suspicions" ();
       fiber_counter = 0;
       batcher = None;
       slots = Hashtbl.create 8;
+      slot_work = { by_owner = [] };
       claims = Hashtbl.create 32;
       scanned_slot = 0;
       next_slot = 1;
@@ -874,7 +1080,7 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
                   (fun () -> process_request t req client)
             | Some b ->
                 let rs = state_of t req.rid in
-                if rs.client = None then rs.client <- Some client;
+                know_client t rs;
                 let settled =
                   match rs.settled with
                   | Some v -> Some v

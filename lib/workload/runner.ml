@@ -71,6 +71,48 @@ let failures r =
   if r.duplicate_effects = 0 then []
   else [ Printf.sprintf "duplicate effects: %d" r.duplicate_effects ]
 
+(* The output each request's effect settled on: that of the first group
+   for its (action, logical) pair whose output is known.  The groups are
+   indexed by key once, so a lookup costs only the pair's own groups. *)
+let settled_outputs (groups : Checker.group_result list) =
+  let tbl = Hashtbl.create (List.length groups) in
+  List.iter
+    (fun (g : Checker.group_result) ->
+      if g.output <> None then
+        Hashtbl.add tbl
+          (Checker.group_key g.expected.Checker.action
+             g.expected.Checker.logical)
+          g)
+    (List.rev groups);
+  fun (exp : Checker.expected) ->
+    List.find_map
+      (fun (g : Checker.group_result) ->
+        if
+          g.expected.Checker.action = exp.Checker.action
+          && Value.equal g.expected.Checker.logical exp.Checker.logical
+        then g.output
+        else None)
+      (Hashtbl.find_all tbl (Checker.group_key exp.action exp.logical))
+
+(* The reply the client accepted must be the output the request's effect
+   actually settled on (the surviving execution in the reduced history).
+   R4 alone admits any member of PossibleReply; a protocol that replies
+   before outcome-consensus can return a value from a round that was
+   later aborted — still a possible reply, but of no surviving effect. *)
+let reply_mismatches env (report : Checker.report) submissions =
+  let settled = settled_outputs report.Checker.groups in
+  List.filter_map
+    (fun s ->
+      match settled (Xsm.Environment.checker_expected env s.req) with
+      | Some v when not (Value.equal s.reply v) ->
+          Some
+            (Printf.sprintf
+               "client accepted %s for %s but its effect settled on %s"
+               (Value.to_string s.reply) (Xsm.Request.key s.req)
+               (Value.to_string v))
+      | _ -> None)
+    submissions
+
 let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
   let n_clients = max 1 spec.clients in
   let n_lanes = max 1 spec.inflight in
@@ -217,34 +259,6 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
                (String.concat ", " (List.map Value.to_string possible))))
       submissions
   in
-  (* The reply the client accepted must be the output the request's effect
-     actually settled on (the surviving execution in the reduced history).
-     R4 alone admits any member of PossibleReply; a protocol that replies
-     before outcome-consensus can return a value from a round that was
-     later aborted — still a possible reply, but of no surviving effect. *)
-  let reply_mismatches =
-    List.filter_map
-      (fun s ->
-        let exp = Xsm.Environment.checker_expected env s.req in
-        let settled =
-          List.find_map
-            (fun (g : Checker.group_result) ->
-              if
-                g.expected.Checker.action = exp.Checker.action
-                && Value.equal g.expected.Checker.logical exp.Checker.logical
-              then g.output
-              else None)
-            report.Checker.groups
-        in
-        match settled with
-        | Some v when not (Value.equal s.reply v) ->
-            Some
-              (Printf.sprintf "client accepted %s for %s but its effect settled on %s"
-                 (Value.to_string s.reply) (Xsm.Request.key s.req)
-                 (Value.to_string v))
-        | _ -> None)
-      submissions
-  in
   let false_suspicions =
     match
       (Xreplication.Service.oracle svc, Xreplication.Service.heartbeat svc)
@@ -271,7 +285,7 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
       report;
       r4_ok = r4_violations = [];
       r4_violations;
-      reply_mismatches;
+      reply_mismatches = reply_mismatches env report submissions;
       env_violations = Xsm.Environment.violations env;
       duplicate_effects = Xsm.Environment.duplicate_effects env;
       engine_errors =
@@ -455,30 +469,6 @@ let run_sharded ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup
                (String.concat ", " (List.map Value.to_string possible))))
       submissions
   in
-  let reply_mismatches =
-    List.filter_map
-      (fun s ->
-        let exp = Xsm.Environment.checker_expected env s.req in
-        let settled =
-          List.find_map
-            (fun (g : Checker.group_result) ->
-              if
-                g.expected.Checker.action = exp.Checker.action
-                && Value.equal g.expected.Checker.logical exp.Checker.logical
-              then g.output
-              else None)
-            report.Checker.groups
-        in
-        match settled with
-        | Some v when not (Value.equal s.reply v) ->
-            Some
-              (Printf.sprintf
-                 "client accepted %s for %s but its effect settled on %s"
-                 (Value.to_string s.reply) (Xsm.Request.key s.req)
-                 (Value.to_string v))
-        | _ -> None)
-      submissions
-  in
   let false_suspicions =
     let per_group s =
       let g = Xshard.Deployment.group d s in
@@ -511,7 +501,7 @@ let run_sharded ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup
       report;
       r4_ok = r4_violations = [];
       r4_violations;
-      reply_mismatches;
+      reply_mismatches = reply_mismatches env report submissions;
       env_violations = Xsm.Environment.violations env;
       duplicate_effects = Xsm.Environment.duplicate_effects env;
       engine_errors =

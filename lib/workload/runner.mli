@@ -142,5 +142,16 @@ val run_sharded :
     theorem, executed.  [result.shard_reports] keeps the per-shard
     verdicts; [result.report] is the conjunction. *)
 
+val settled_outputs :
+  Xability.Checker.group_result list ->
+  Xability.Checker.expected ->
+  Xability.Value.t option
+(** [settled_outputs groups exp] is the output of the first group in
+    [groups] for [exp]'s (action, logical) pair whose output is known —
+    the value the request's effect settled on, against which
+    [reply_mismatches] compares each accepted reply.  Apply it to
+    [groups] once: the groups are indexed by {!Xability.Checker.group_key}
+    then, and each lookup costs only its own pair's groups. *)
+
 val timed_pp : Format.formatter -> result -> unit
 (** One-line summary, for experiment tables. *)

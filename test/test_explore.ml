@@ -317,14 +317,16 @@ let test_explore_pool_size_independent () =
     (Explorer.verdict_to_json v4)
 
 (* ------------------------------------------------------------------ *)
-(* Pinned runs: three schedule lines and what they replay to *)
+(* Pinned runs: five schedule lines and what they replay to *)
 
 (* Each line's trace fingerprint, choice points and verdict, as recorded
    when these lines were written: a random-walk trial (shifts deep into
-   the run), a two-delay delay-DFS line, and a lease-edge line on the
-   seqlog substrate, all on the booking scenario of [xrepl explore]'s
-   defaults.  A change to how the engine offers or applies choices must
-   leave all three runs as they are. *)
+   the run), a two-delay delay-DFS line, a lease-edge line on the seqlog
+   substrate, a batched seqlog line with a crash and false suspicions,
+   and a Paxos line with a crash and false suspicions, all on the booking
+   scenario of [xrepl explore]'s defaults.  A change to how the engine
+   offers or applies choices, or to how the cleaner finds its work, must
+   leave all five runs as they are. *)
 let pinned_walk =
   String.concat ""
     [
@@ -369,6 +371,24 @@ let pinned_runs =
       "v1 seed=42 win=1 mut=faithful crashes=200:0 ccrash=- noise=- net=- \
        parts=- netf=- bat=- load=2:4 shifts=- lease=1 sub=seqlog",
       1231406449010249509,
+      0 );
+    (* Batched on the sequenced log, with an owner crash and false
+       suspicions: reaches the cleaner's slot-abort, slot-repair and
+       takeover arms as well as per-request cleaning. *)
+    ( "batched seqlog crash+noise",
+      "v1 seed=1 win=4 mut=faithful crashes=500:0 ccrash=- \
+       noise=0x1p-2:150:10000 net=- parts=- netf=- bat=4:2:20 load=2:4 \
+       shifts=- sub=seqlog",
+      -787805542890823341,
+      6315 );
+    (* Paxos under false suspicions with a backup crash: a cleaner pass
+       there blocks in consensus and meets suspicions that start, and
+       owner decisions that arrive, in the middle of the pass. *)
+    ( "paxos crash+noise",
+      "v1 seed=253 win=1 mut=faithful crashes=314:2 ccrash=- \
+       noise=0x1p-2:150:10000 net=- parts=- netf=- bat=- load=1:2 shifts=- \
+       lease=1 sub=paxos",
+      1266765114325123376,
       0 );
   ]
 

@@ -695,6 +695,74 @@ let prop_e1_xability =
         results;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Host cost: a request costs as much in a long run as in a short one   *)
+
+(* Minor words per request of one run, build and verification included,
+   in the bench's [long] shape: three replicas on the sequenced log, a
+   leased owner, batches of 16 with 4 in flight, 4 clients x 8 lanes,
+   [per_lane] requests per lane. *)
+let words_per_request ~per_lane =
+  let spec =
+    {
+      base_spec with
+      Runner.clients = 4;
+      inflight = 8;
+      time_limit = 5_000_000;
+      quiesce_grace = 20_000;
+      service_config =
+        {
+          Service.default_config with
+          substrate = `Seqlog (Xnet.Latency.Uniform (10, 40));
+          lease = Some Xreplication.Lease.default_config;
+          replica =
+            {
+              Xreplication.Replica.default_config with
+              batching =
+                Some
+                  {
+                    Xreplication.Batcher.default_config with
+                    size = 16;
+                    depth = 4;
+                  };
+            };
+        };
+    }
+  in
+  let lanes = ref 0 in
+  let workload _srv client submit =
+    incr lanes;
+    let key = Printf.sprintf "k%d" !lanes in
+    for j = 1 to per_lane do
+      ignore
+        (submit
+           (match j mod 3 with
+           | 0 ->
+               Workloads.transfer client ~from_acct:"alice" ~to_acct:"bob"
+                 ~amount:1
+           | 1 -> Workloads.send client ~body:"m"
+           | _ -> Workloads.kv_put client ~key ~value:(Value.int j)))
+    done
+  in
+  let w0 = Gc.minor_words () in
+  let r, _ = run ~spec workload in
+  let words = Gc.minor_words () -. w0 in
+  assert_ok r;
+  checki "every request answered" (32 * per_lane)
+    (List.length r.Runner.submissions);
+  words /. float_of_int (32 * per_lane)
+
+(* The cleaner and the verifier must not revisit everything seen so far:
+   ten times the requests may not cost more per request. *)
+let test_cost_independent_of_run_length () =
+  let short = words_per_request ~per_lane:10 in
+  let long = words_per_request ~per_lane:100 in
+  checkb
+    (Printf.sprintf "%.0f words/request at 10 per lane, %.0f at 100" short
+       long)
+    true
+    (long <= 1.5 *. short && short <= 1.5 *. long)
+
 let tc name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -763,5 +831,10 @@ let () =
           tc "second stream does not break first" test_second_client_does_not_break_first;
         ] );
       ("applications", [ tc "booking under churn" test_booking_under_churn ]);
+      ( "replication",
+        [
+          tc "per-request cost independent of run length"
+            test_cost_independent_of_run_length;
+        ] );
       ("properties", [ qcheck prop_e1_xability ]);
     ]

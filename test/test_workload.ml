@@ -197,6 +197,56 @@ let test_compare_parse_error () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* [Runner.settled_outputs] indexes the groups by key; it must answer
+   exactly what scanning the group list in order answers: the first group
+   for the pair whose output is known.  Few actions and logical values
+   make duplicate keys common, and outputs are often unknown. *)
+let prop_settled_outputs_match_scan =
+  let open QCheck.Gen in
+  let action = oneofl [ "send"; "transfer"; "put" ] in
+  let logical =
+    oneofl
+      Xability.Value.[ int 1; int 2; str "1"; pair (int 1) (str "k"); nil ]
+  in
+  let group =
+    map
+      (fun ((action, logical), output) ->
+        {
+          Xability.Checker.expected =
+            { Xability.Checker.action; kind = Xability.Action.Idempotent; logical };
+          events = 0;
+          ok = output <> None;
+          reduced = None;
+          output = Option.map Xability.Value.int output;
+          first_completion = None;
+          detail = "";
+        })
+      (pair (pair action logical) (opt (int_bound 3)))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (gs, _) -> Printf.sprintf "%d groups" (List.length gs))
+      (pair (list_size (int_bound 12) group) (list_size (int_range 1 6) group))
+  in
+  QCheck.Test.make ~name:"settled outputs: table lookup = list scan"
+    ~count:500 arb (fun (groups, probes) ->
+      let lookup = Runner.settled_outputs groups in
+      let scan (exp : Xability.Checker.expected) =
+        List.find_map
+          (fun (g : Xability.Checker.group_result) ->
+            if
+              g.expected.action = exp.action
+              && Xability.Value.equal g.expected.logical exp.logical
+            then g.output
+            else None)
+          groups
+      in
+      List.for_all
+        (fun (p : Xability.Checker.group_result) ->
+          Option.equal Xability.Value.equal (lookup p.expected)
+            (scan p.expected))
+        (probes @ groups))
+
 let () =
   Alcotest.run "xworkload"
     [
@@ -215,6 +265,7 @@ let () =
           tc "records submissions" test_runner_records_submissions;
           tc "failure listing" test_runner_failures_listing;
           tc "workload constructors" test_workload_constructors;
+          QCheck_alcotest.to_alcotest prop_settled_outputs_match_scan;
         ] );
       ( "bench compare",
         [
