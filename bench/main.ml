@@ -1565,6 +1565,7 @@ let e15_spec ~shards ~seed () =
        the sweep is weak scaling, offered load grows with the count. *)
     clients = 2;
     inflight = 2;
+    shards;
     service_config =
       {
         Service.default_config with
@@ -1572,7 +1573,6 @@ let e15_spec ~shards ~seed () =
            log is the contended resource, so extra shards add capacity
            instead of sharing one infinitely-parallel substrate. *)
         consensus_service_time = 30;
-        shards;
         n_clients = 2;
         replica =
           {
@@ -1589,7 +1589,7 @@ let e15_spec ~shards ~seed () =
   }
 
 let e15_run ~shards ~seed () =
-  Runner.run_sharded
+  Runner.run_deployment
     ~spec:(e15_spec ~shards ~seed ())
     ~setup:Workloads.setup_all
     ~workload:(fun _ d sess ->

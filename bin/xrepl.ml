@@ -286,11 +286,11 @@ let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
           Service.default_config.Service.replica with
           batching = batching_of ~batch ~pipeline;
         };
-      shards;
     }
   in
   {
-    Runner.seed;
+    Runner.default_spec with
+    seed;
     crashes;
     noise;
     client_crash_at = client_crash;
@@ -300,6 +300,7 @@ let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
     quiesce_grace = 20_000;
     clients;
     inflight;
+    shards;
   }
 
 let print_result (r : Runner.result) =
@@ -356,15 +357,20 @@ let run_cmd =
       make_spec ~faults ~batch ~pipeline ~clients ~inflight ~shards
         ~lease seed n crashes noise fail_prob substrate detector client_crash
     in
+    (* More than one shard runs a per-shard closed loop over the
+       cross-shard mix, its verdict composed from per-shard projections
+       (section 4). *)
+    let r, _, d =
+      Runner.run_deployment ~spec ~setup:Workloads.setup_all
+        ~workload:
+          (if shards > 1 then fun _ dep sess ->
+             Workloads.sharded_mix ~n:requests ~cross_every:3 dep sess
+           else
+             Runner.client_lane (fun _ c s ->
+                 Workloads.sequence mix ~n:requests c s))
+        ()
+    in
     if shards > 1 then begin
-      (* Sharded deployment: per-shard closed loop over the cross-shard
-         mix; verdict composed from per-shard projections (section 4). *)
-      let r, _, d =
-        Runner.run_sharded ~spec ~setup:Workloads.setup_all
-          ~workload:(fun _ dep sess ->
-            Workloads.sharded_mix ~n:requests ~cross_every:3 dep sess)
-          ()
-      in
       let totals = Xshard.Deployment.totals d in
       Format.printf "shards             : %d@." shards;
       List.iter
@@ -377,16 +383,9 @@ let run_cmd =
         totals.Xshard.Deployment.local_submits
         totals.Xshard.Deployment.routed_submits
         totals.Xshard.Deployment.cross_requests
-        totals.Xshard.Deployment.router.Xshard.Router.lookups;
-      print_result r
-    end
-    else
-      let r, _ =
-        Runner.run ~spec ~setup:Workloads.setup_all
-          ~workload:(fun _ c s -> Workloads.sequence mix ~n:requests c s)
-          ()
-      in
-      print_result r
+        totals.Xshard.Deployment.router.Xshard.Router.lookups
+    end;
+    print_result r
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(

@@ -34,9 +34,8 @@ type scenario = {
     Xshard.Deployment.t ->
     Xshard.Deployment.session ->
     unit;
-      (** the per-session lane body used when a schedule carries a
-          [shards] override and the run goes through
-          {!Runner.run_sharded} instead of {!Runner.run} *)
+      (** the per-session lane body of a schedule with more than one
+          shard; a one-shard run drives [workload] instead *)
 }
 
 (* Default sharded lane: the cross-shard mix.  [cross_every = 3] (not 2)
@@ -171,14 +170,14 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
   let shards =
     match sch.Schedule.shards with
     | Some n -> n
-    | None -> sc.Xreplication.Service.shards
+    | None -> scenario.spec.Runner.shards
   in
   let router =
-    if sch.Schedule.router_blocks = [] then sc.Xreplication.Service.router
+    if sch.Schedule.router_blocks = [] then scenario.spec.Runner.router
     else
       {
-        sc.Xreplication.Service.router with
-        Xreplication.Service.blocked = sch.Schedule.router_blocks;
+        scenario.spec.Runner.router with
+        Xshard.Deployment.blocked = sch.Schedule.router_blocks;
       }
   in
   (* Lease/substrate overrides: a [lease=1] schedule arms the leased-owner
@@ -205,14 +204,14 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
     noise = sch.Schedule.noise;
     clients;
     inflight;
+    shards;
+    router;
     service_config =
       {
         sc with
         Xreplication.Service.replica;
         faults;
         channel;
-        shards;
-        router;
         lease;
         substrate;
       };
@@ -222,8 +221,11 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
    over every group's replicas, so their range is only known once the
    schedule's overrides are applied to the scenario. *)
 let check scenario sch =
-  let sc = (apply scenario sch).Runner.service_config in
-  let n = sc.Xreplication.Service.n_replicas * sc.Xreplication.Service.shards in
+  let spec = apply scenario sch in
+  let n =
+    spec.Runner.service_config.Xreplication.Service.n_replicas
+    * spec.Runner.shards
+  in
   match List.find_opt (fun (_, i) -> i >= n) sch.Schedule.crashes with
   | None -> Ok ()
   | Some (_, i) ->
@@ -258,28 +260,13 @@ let run_with ?cache ?(with_trace = false) scenario sch
   let aborted () =
     match !mon_ref with Some m -> Monitor.aborted m | None -> false
   in
-  (* A sharded spec dispatches to the sharded runner (and its composed
-     section-4 verification); everything downstream of [result] is
-     runner-agnostic. *)
-  let result =
-    if spec.Runner.service_config.Xreplication.Service.shards > 1 then
-      let result, _srv, _dep =
-        Runner.run_sharded ~spec ~prepare ~aborted ?cache
-          ~setup:(fun env -> Workloads.setup_all env)
-          ~workload:(fun svcs dep sess ->
-            scenario.sharded_workload svcs dep sess)
-          ()
-      in
-      result
-    else
-      let result, _srv =
-        Runner.run ~spec ~prepare ~aborted ?cache
-          ~setup:(fun env -> Workloads.setup_all env)
-          ~workload:(fun svcs client submit ->
-            scenario.workload svcs client submit)
-          ()
-      in
-      result
+  let result, _srv, _dep =
+    Runner.run_deployment ~spec ~prepare ~aborted ?cache
+      ~setup:(fun env -> Workloads.setup_all env)
+      ~workload:
+        (if spec.Runner.shards > 1 then scenario.sharded_workload
+         else Runner.client_lane scenario.workload)
+      ()
   in
   let monitor = Option.get !mon_ref in
   let eng = Option.get !eng_ref in

@@ -31,8 +31,10 @@ type scenario = {
     Xshard.Deployment.t ->
     Xshard.Deployment.session ->
     unit;
-      (** per-session lane body for schedules carrying a [shards]
-          override (run via {!Xworkload.Runner.run_sharded}); the built-in
+      (** per-session lane body of a schedule with more than one shard
+          (a [shards] override); a one-shard run drives [workload]
+          through {!Xworkload.Runner.client_lane} instead, so both go
+          through {!Xworkload.Runner.run_deployment}.  The built-in
           scenarios default it to {!Xworkload.Workloads.sharded_mix} with
           [cross_every = 3] *)
 }

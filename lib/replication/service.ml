@@ -11,19 +11,6 @@ type channel_config =
   | Assumed_reliable
   | Arq of Xnet.Reliable.arq
 
-(* Directory/router tier knobs, consumed by the Xshard deployment layer
-   (this library never reads them — keeping the dependency order
-   xshard -> xreplication acyclic while letting one [config] describe a
-   whole sharded deployment). *)
-type router_config = {
-  lookup_latency : int;
-  retry_delay : int;
-  blocked : (int * int * int) list;
-      (* (from, until, shard): directory entry unavailable in a window *)
-}
-
-let default_router = { lookup_latency = 10; retry_delay = 50; blocked = [] }
-
 type config = {
   n_replicas : int;
   n_clients : int;
@@ -40,10 +27,6 @@ type config = {
   consensus_service_time : int;
       (* serial-substrate occupancy per consensus proposal (ticks);
          0 = unserialised substrate (the historical model) *)
-  shards : int;
-      (* number of independent replica groups; 1 = this module's classic
-         single-group deployment, >1 is built by Xshard.Deployment *)
-  router : router_config;
 }
 
 let default_config =
@@ -58,8 +41,6 @@ let default_config =
     detector = Oracle { detection_delay = 50; poll_interval = 25 };
     replica = Replica.default_config;
     consensus_service_time = 0;
-    shards = 1;
-    router = default_router;
   }
 
 (* Which channel implementation carries the service's Wire messages.

@@ -25,22 +25,6 @@ type channel_config =
       (** reliable channels implemented over the faulty wire by the
           {!Xnet.Reliable} ARQ layer *)
 
-type router_config = {
-  lookup_latency : int;  (** ticks per directory lookup on the routed path *)
-  retry_delay : int;
-      (** backoff before retrying a blocked directory entry *)
-  blocked : (int * int * int) list;
-      (** [(from, until, shard)] windows during which the router's
-          directory entry for [shard] is unavailable (a router-shard
-          partition); routed requests to that shard stall and retry *)
-}
-(** Knobs for the router/directory tier of a sharded deployment.  This
-    library only carries them; {!Xshard.Deployment} consumes them — the
-    dependency order stays [xshard -> xreplication]. *)
-
-val default_router : router_config
-(** 10-tick lookups, 50-tick retry backoff, no blocked windows. *)
-
 type config = {
   n_replicas : int;
   n_clients : int;  (** per replica group *)
@@ -66,19 +50,12 @@ type config = {
           one slot per proposal, aggregate or not, so batching amortizes
           it.  [0] (default) keeps the substrate unserialised and
           pre-existing runs byte-identical; see {!Coord.create} *)
-  shards : int;
-      (** number of independent replica groups.  [1] (default) is this
-          module's classic single-group deployment; [> 1] asks
-          {!Xshard.Deployment} to build [shards] groups — each with its
-          own owner, batch log, and etx records — multiplexed over one
-          shared wire *)
-  router : router_config;  (** router/directory tier (sharded only) *)
 }
 
 val default_config : config
 (** 3 replicas, 1 client, uniform(20,60) latency, no faults, channels
     assumed reliable, register substrate with latency 25, no lease,
-    oracle detector with 50-tick detection delay, 1 shard. *)
+    oracle detector with 50-tick detection delay. *)
 
 type wire
 (** A service wire: the transport (or ARQ reliable layer) that carries

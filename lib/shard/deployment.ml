@@ -1,97 +1,112 @@
 module Service = Xreplication.Service
 module Client = Xreplication.Client
 
+type router_config = {
+  lookup_latency : int;
+  retry_delay : int;
+  blocked : (int * int * int) list;
+      (* (from, until, shard): directory entry unavailable in a window *)
+}
+
+let default_router = { lookup_latency = 10; retry_delay = 50; blocked = [] }
+
 type session = {
   home : int;
   sc : Client.t;
-  s_key : int * int;  (* (shard, client) — global ordering key *)
-  mutable s_issued : Xsm.Request.t list;  (* reversed *)
-  mutable s_subs : submission list;  (* reversed *)
+  mutable last_issued : Xsm.Request.t option;
 }
 
-and submission = { req : Xsm.Request.t; reply : Xability.Value.t; latency : int }
+type submission = { req : Xsm.Request.t; reply : Xability.Value.t; latency : int }
+
+(* The router tier: the directory, one proxy stub per shard, and the
+   process the router's forwarding fibers run on.  A one-group
+   deployment has nothing to route between and builds none of it. *)
+type tier = { rt : Router.t; proxies : Client.t array; router_proc : Xsim.Proc.t }
 
 type t = {
   eng : Xsim.Engine.t;
-  env : Xsm.Environment.t;
   cfg : Service.config;
   part : Partition.t;
-  rt : Router.t;
+  tier : tier option;
   wire : Service.wire;
   groups : Service.t array;
-  proxies : Client.t array;
-  router_proc : Xsim.Proc.t;
   sessions : (int * int, session) Hashtbl.t;
+  mutable issued_rev : Xsm.Request.t list;
+  mutable submissions_rev : submission list;
   mutable local_submits : int;
   mutable routed_submits : int;
   mutable cross_requests : int;
 }
 
-let create eng env (cfg : Service.config) =
-  let shards = max 1 cfg.Service.shards in
+let create ?(shards = 1) ?(router = default_router) eng env
+    (cfg : Service.config) =
+  let shards = max 1 shards in
   let n_clients = cfg.Service.n_clients in
   let part = Partition.hash ~shards in
   let wire = Service.make_wire eng cfg in
-  let router_proc = Xsim.Proc.create ~name:"router" in
-  (* The router's per-shard proxy stubs are declared up front so each
-     group's failure detector counts its proxy among its observers. *)
-  let proxy_members =
-    Array.init shards (fun s ->
-        (Xnet.Address.make ~role:"router" ~index:s, router_proc))
-  in
-  let groups =
-    Array.init shards (fun s ->
-        Service.create ~wire
-          ~prefix:(Printf.sprintf "s%d." s)
-          ~rid_offset:(s * n_clients)
-          ~extra_observers:[ proxy_members.(s) ]
-          eng env cfg)
-  in
-  let views = Array.map (fun g -> Service.replica_addrs g) groups in
-  let rt =
-    Router.create eng ~partition:part ~views
-      ~lookup_latency:cfg.Service.router.Service.lookup_latency
-      ~retry_delay:cfg.Service.router.Service.retry_delay ()
-  in
-  List.iter
-    (fun (from_t, until_t, shard) ->
-      if shard >= 0 && shard < shards then Router.block rt ~shard ~from_t ~until_t)
-    cfg.Service.router.Service.blocked;
-  let proxies =
-    Array.init shards (fun s ->
-        let addr, proc = proxy_members.(s) in
-        Client.create ~eng
-          ~transport:(Service.wire_conduit wire)
-          ~detector:(Service.detector groups.(s))
-          ~replicas:(Service.replica_addrs groups.(s))
-          ~addr ~proc
-          ~rid_base:(((shards * n_clients) + s) * 1_000_000)
-          ())
+  let groups, tier =
+    if shards = 1 then
+      (* The classic single group: no address prefix, no router tier. *)
+      ([| Service.create ~wire eng env cfg |], None)
+    else begin
+      let router_proc = Xsim.Proc.create ~name:"router" in
+      (* The router's per-shard proxy stubs are declared up front so each
+         group's failure detector counts its proxy among its observers. *)
+      let proxy_members =
+        Array.init shards (fun s ->
+            (Xnet.Address.make ~role:"router" ~index:s, router_proc))
+      in
+      let groups =
+        Array.init shards (fun s ->
+            Service.create ~wire
+              ~prefix:(Printf.sprintf "s%d." s)
+              ~rid_offset:(s * n_clients)
+              ~extra_observers:[ proxy_members.(s) ]
+              eng env cfg)
+      in
+      let views = Array.map Service.replica_addrs groups in
+      let rt =
+        Router.create eng ~partition:part ~views
+          ~lookup_latency:router.lookup_latency
+          ~retry_delay:router.retry_delay ()
+      in
+      List.iter
+        (fun (from_t, until_t, shard) ->
+          if shard >= 0 && shard < shards then
+            Router.block rt ~shard ~from_t ~until_t)
+        router.blocked;
+      let proxies =
+        Array.init shards (fun s ->
+            let addr, proc = proxy_members.(s) in
+            Client.create ~eng
+              ~transport:(Service.wire_conduit wire)
+              ~detector:(Service.detector groups.(s))
+              ~replicas:(Service.replica_addrs groups.(s))
+              ~addr ~proc
+              ~rid_base:(((shards * n_clients) + s) * 1_000_000)
+              ())
+      in
+      (groups, Some { rt; proxies; router_proc })
+    end
   in
   {
     eng;
-    env;
     cfg;
     part;
-    rt;
+    tier;
     wire;
     groups;
-    proxies;
-    router_proc;
     sessions = Hashtbl.create 16;
+    issued_rev = [];
+    submissions_rev = [];
     local_submits = 0;
     routed_submits = 0;
     cross_requests = 0;
   }
 
-let engine t = t.eng
-let environment t = t.env
 let partition t = t.part
-let router t = t.rt
 let shards t = Array.length t.groups
 let group t s = t.groups.(s)
-let wire_stats t = Service.wire_stats t.wire
-let reliable_stats t = Service.wire_reliable_stats t.wire
 
 let session t ~shard ~client =
   match Hashtbl.find_opt t.sessions (shard, client) with
@@ -101,9 +116,7 @@ let session t ~shard ~client =
         {
           home = shard;
           sc = Service.client t.groups.(shard) client;
-          s_key = (shard, client);
-          s_issued = [];
-          s_subs = [];
+          last_issued = None;
         }
       in
       Hashtbl.replace t.sessions (shard, client) s;
@@ -113,32 +126,42 @@ let home s = s.home
 let session_client s = s.sc
 let session_proc s = Client.proc s.sc
 
-let record sess sub = sess.s_subs <- sub :: sess.s_subs
+let issue t sess req =
+  sess.last_issued <- Some req;
+  t.issued_rev <- req :: t.issued_rev
+
+let record t sub = t.submissions_rev <- sub :: t.submissions_rev
 
 let obs_incr name =
   if Xobs.enabled () then Xobs.Counter.incr (Xobs.counter name)
 
-let submit t sess req =
-  sess.s_issued <- req :: sess.s_issued;
+(* Consult the directory for [req]'s shard, then go through that shard's
+   router-tier proxy stub. *)
+let forward tier req =
   let key = Partition.key_of_input req.Xsm.Request.input in
-  let s = Partition.shard_of t.part key in
+  let shard, _view = Router.lookup tier.rt ~key in
+  Client.submit_until_success tier.proxies.(shard) req
+
+let submit t sess req =
+  issue t sess req;
   let t0 = Xsim.Engine.now t.eng in
   let reply =
-    if s = sess.home then begin
-      t.local_submits <- t.local_submits + 1;
-      obs_incr "shard.local_submits";
-      Client.submit_until_success sess.sc req
-    end
-    else begin
-      (* The key lives on another shard: consult the directory, then go
-         through that shard's router-tier proxy stub. *)
-      t.routed_submits <- t.routed_submits + 1;
-      obs_incr "shard.routed_submits";
-      let shard, _view = Router.lookup t.rt ~key in
-      Client.submit_until_success t.proxies.(shard) req
-    end
+    match t.tier with
+    | None -> Client.submit_until_success sess.sc req
+    | Some tier ->
+        let key = Partition.key_of_input req.Xsm.Request.input in
+        if Partition.shard_of t.part key = sess.home then begin
+          t.local_submits <- t.local_submits + 1;
+          obs_incr "shard.local_submits";
+          Client.submit_until_success sess.sc req
+        end
+        else begin
+          t.routed_submits <- t.routed_submits + 1;
+          obs_incr "shard.routed_submits";
+          forward tier req
+        end
   in
-  record sess { req; reply; latency = Xsim.Engine.now t.eng - t0 };
+  record t { req; reply; latency = Xsim.Engine.now t.eng - t0 };
   reply
 
 let submit_cross t sess parts =
@@ -150,24 +173,26 @@ let submit_cross t sess parts =
       (List.length parts);
   (* Issue every sub-request before any executes: the cross-shard request
      is one unit of client intent, its parts one logical group each. *)
-  List.iter
-    (fun req -> sess.s_issued <- req :: sess.s_issued)
-    parts;
+  List.iter (issue t sess) parts;
+  (* The router tier executes each part: even a part whose key is the
+     session's home shard takes the routed path, so a cross-shard request
+     has one failure surface.  One group has no router: its parts go
+     through the session's own stub. *)
+  let proc, send =
+    match t.tier with
+    | None -> (session_proc sess, fun req -> Client.submit_until_success sess.sc req)
+    | Some tier -> (tier.router_proc, forward tier)
+  in
   let fanout =
     List.map
       (fun req ->
         let iv = Xsim.Ivar.create () in
-        let key = Partition.key_of_input req.Xsm.Request.input in
         let t0 = Xsim.Engine.now t.eng in
-        (* The router tier executes each part: even a part whose key is
-           the session's home shard takes the routed path, so a
-           cross-shard request has one failure surface. *)
-        Xsim.Engine.spawn t.eng ~proc:t.router_proc
+        Xsim.Engine.spawn t.eng ~proc
           ~name:(Printf.sprintf "xfwd.%s" (Xsm.Request.key req))
           (fun () ->
-            let shard, _view = Router.lookup t.rt ~key in
-            let reply = Client.submit_until_success t.proxies.(shard) req in
-            record sess
+            let reply = send req in
+            record t
               { req; reply; latency = Xsim.Engine.now t.eng - t0 };
             Xsim.Ivar.fill iv reply);
         iv)
@@ -185,17 +210,9 @@ let kill_session t ~shard ~client = Service.kill_client t.groups.(shard) client
 let shard_of_expected t _action logical =
   Partition.shard_of t.part (Partition.key_of_logical logical)
 
-let sorted_sessions t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
-  |> List.sort (fun a b -> compare a.s_key b.s_key)
-
-let session_issued s = List.rev s.s_issued
-
-let issued t =
-  List.concat_map (fun s -> List.rev s.s_issued) (sorted_sessions t)
-
-let submissions t =
-  List.concat_map (fun s -> List.rev s.s_subs) (sorted_sessions t)
+let last_issued s = s.last_issued
+let issued t = List.rev t.issued_rev
+let submissions t = List.rev t.submissions_rev
 
 type totals = {
   service : Service.totals;
@@ -218,7 +235,7 @@ let totals t =
       consensus_messages = sum (fun m -> m.Service.consensus_messages);
       coord_msgs = sum (fun m -> m.Service.coord_msgs);
       (* Every group reports the same shared wire: count it once. *)
-      service_messages = (wire_stats t).Xnet.Transport.sent;
+      service_messages = (Service.wire_stats t.wire).Xnet.Transport.sent;
     }
   in
   {
@@ -226,5 +243,8 @@ let totals t =
     local_submits = t.local_submits;
     routed_submits = t.routed_submits;
     cross_requests = t.cross_requests;
-    router = Router.stats t.rt;
+    router =
+      (match t.tier with
+      | Some tier -> Router.stats tier.rt
+      | None -> { Router.lookups = 0; blocked_waits = 0 });
   }

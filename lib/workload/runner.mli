@@ -34,13 +34,19 @@ type spec = {
           per-client sequential-order requirement ([check_order:false],
           there being no single issue order to check) *)
   inflight : int;  (** concurrent lanes per client (default 1) *)
+  shards : int;
+      (** replica groups in the deployment (default 1, the classic single
+          group); see {!run_deployment} *)
+  router : Xshard.Deployment.router_config;
+      (** router/directory tier of a multi-shard deployment (default
+          {!Xshard.Deployment.default_router}) *)
 }
 
 val default_spec : spec
 
 (** What the client workload did: each submitted request with its reply
     and observed latency. *)
-type submission = {
+type submission = Xshard.Deployment.submission = {
   req : Xsm.Request.t;
   reply : Xability.Value.t;
   latency : int;
@@ -68,10 +74,10 @@ type result = {
   false_suspicions : int;
   rounds_per_request : float;  (** mean rounds of owner-agreement used *)
   shard_reports : (int * Xability.Checker.report) list;
-      (** a sharded run's per-shard projection verdicts (ascending shard
-          id); [report] is then their conjunction per the section-4
+      (** a multi-shard run's per-shard projection verdicts (ascending
+          shard id); [report] is then their conjunction per the section-4
           composition theorem ({!Xability.Checker.compose}).  [[]] for
-          single-group runs *)
+          one shard *)
 }
 
 val ok : result -> bool
@@ -79,6 +85,54 @@ val ok : result -> bool
 
 val failures : result -> string list
 (** Human-readable list of everything that went wrong (empty iff [ok]). *)
+
+val run_deployment :
+  spec:spec ->
+  ?prepare:(Xsim.Engine.t -> Xsm.Environment.t -> unit) ->
+  ?aborted:(unit -> bool) ->
+  ?cache:Xability.Checker.cache ->
+  setup:(Xsm.Environment.t -> 'srv) ->
+  workload:('srv -> Xshard.Deployment.t -> Xshard.Deployment.session -> unit) ->
+  unit ->
+  result * 'srv * Xshard.Deployment.t
+(** The run body.  Builds an {!Xshard.Deployment} of [spec.shards]
+    replica groups — one is the classic single group, the N = 1 case of
+    the paper's section-4 construction — and drives a closed loop of
+    [spec.clients] sessions × [spec.inflight] lanes on every shard, each
+    lane running [workload srv deployment session] on its session's
+    process (issue requests via {!Xshard.Deployment.submit} /
+    {!Xshard.Deployment.submit_cross}).
+
+    [setup] registers services and returns the workload's handle.
+    [prepare eng env] runs before any service is registered (a schedule
+    explorer installs its chooser and online monitor there).  [aborted]
+    is polled between simulation slices; once [true], the remaining
+    quiesce work is skipped.  [cache] is handed to the R3 checker, so an
+    explorer's runs share reduction memo tables.
+
+    Crash indices in [spec.crashes] are flat ([shard * n_replicas + r]);
+    [noise] drives every shard's oracle.  [client_crash_at] crashes
+    shard 0's session 0, whose lanes then die silently: per the paper's
+    at-most-once discussion (section 4) the checker also accepts the
+    history without that session's last issued request, if it left no
+    events.
+
+    R3 on one shard is {!Xability.Checker.check}, with the order check
+    on when the run has a single lane.  On more shards it is
+    {!Xability.Checker.compose}: the history is projected per shard by
+    the key function the router used online, each projection checked
+    alone, the verdicts conjoined.  [result.shard_reports] keeps the
+    per-shard verdicts. *)
+
+val client_lane :
+  ('srv -> Xreplication.Client.t -> (Xsm.Request.t -> Xability.Value.t) -> unit) ->
+  'srv ->
+  Xshard.Deployment.t ->
+  Xshard.Deployment.session ->
+  unit
+(** [client_lane workload] is the lane body that runs
+    [workload srv client submit] with the session's client stub and
+    {!Xshard.Deployment.submit} on its session. *)
 
 val run :
   spec:spec ->
@@ -93,54 +147,11 @@ val run :
     unit) ->
   unit ->
   result * 'srv
-(** [setup] registers services on the environment and returns whatever
-    handle the workload needs.  [workload srv client submit] runs inside
-    the client's fiber; it must issue requests through the provided
-    [submit], which records each request (defining the R3 expectation,
-    in issue order) and its reply latency.
-
-    [prepare eng env] runs before any service is registered — the hook a
-    schedule explorer uses to install a scheduling chooser on the engine
-    and an online monitor on the environment.  [aborted] is polled
-    between simulation slices; once it returns [true] the run skips the
-    remaining quiesce work (the monitor should also call
-    {!Xsim.Engine.request_stop} to end the current slice early).
-    [cache] is handed to the R3 checker ({!Xability.Checker.create_cache});
-    a schedule explorer passes one cache across its many runs so the
-    reduction searches share memo tables.
-
-    If the spec crashes the client, the workload fiber dies silently;
-    per the paper's at-most-once discussion (section 4), the checker
-    then also accepts the history in which the {e last} issued request
-    was never processed. *)
-
-val run_sharded :
-  spec:spec ->
-  ?prepare:(Xsim.Engine.t -> Xsm.Environment.t -> unit) ->
-  ?aborted:(unit -> bool) ->
-  ?cache:Xability.Checker.cache ->
-  setup:(Xsm.Environment.t -> 'srv) ->
-  workload:('srv -> Xshard.Deployment.t -> Xshard.Deployment.session -> unit) ->
-  unit ->
-  result * 'srv * Xshard.Deployment.t
-(** Sharded variant of {!run}: builds an {!Xshard.Deployment} of
-    [spec.service_config.shards] replica groups over one shared wire and
-    drives a {e per-shard} closed loop — [spec.clients] sessions ×
-    [spec.inflight] lanes on {e every} shard, each lane running
-    [workload srv deployment session] on its session's process
-    (issue requests via {!Xshard.Deployment.submit} /
-    {!Xshard.Deployment.submit_cross}).
-
-    Crash indices in [spec.crashes] are flat: [shard * n_replicas + r].
-    [client_crash_at] crashes shard 0's session 0.  [noise] drives every
-    shard's oracle.
-
-    R3 is verified with {!Xability.Checker.compose}: the global history
-    is projected per shard by the same pure key-partition function the
-    router used online, each projection checked independently, and the
-    verdicts conjoined — the paper's section-4 locality/composition
-    theorem, executed.  [result.shard_reports] keeps the per-shard
-    verdicts; [result.report] is the conjunction. *)
+(** {!run_deployment} with [workload] as every lane's {!client_lane}.
+    [workload srv client submit] runs inside the client's fiber; it must
+    issue requests through the provided [submit], which records each
+    request (defining the R3 expectation, in issue order) and its reply
+    latency. *)
 
 val settled_outputs :
   Xability.Checker.group_result list ->

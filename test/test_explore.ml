@@ -360,18 +360,20 @@ let pinned_walk =
 
 let pinned_runs =
   [
-    ("random walk", pinned_walk, -1270338496146070356, 1562);
+    ("random walk", pinned_walk, -1270338496146070356, 1562, []);
     ( "delay-dfs",
       "v1 seed=42 win=4 mut=faithful crashes=- ccrash=- \
        noise=0x1p-2:150:10000 net=- parts=- netf=- bat=- load=- \
        shifts=12:3,30:1",
       2594777429501630789,
-      1543 );
+      1543,
+      [] );
     ( "lease-edge seqlog",
       "v1 seed=42 win=1 mut=faithful crashes=200:0 ccrash=- noise=- net=- \
        parts=- netf=- bat=- load=2:4 shifts=- lease=1 sub=seqlog",
       1231406449010249509,
-      0 );
+      0,
+      [] );
     (* Batched on the sequenced log, with an owner crash and false
        suspicions: reaches the cleaner's slot-abort, slot-repair and
        takeover arms as well as per-request cleaning. *)
@@ -380,7 +382,8 @@ let pinned_runs =
        noise=0x1p-2:150:10000 net=- parts=- netf=- bat=4:2:20 load=2:4 \
        shifts=- sub=seqlog",
       -787805542890823341,
-      6315 );
+      6315,
+      [] );
     (* Paxos under false suspicions with a backup crash: a cleaner pass
        there blocks in consensus and meets suspicions that start, and
        owner decisions that arrive, in the middle of the pass. *)
@@ -389,13 +392,38 @@ let pinned_runs =
        noise=0x1p-2:150:10000 net=- parts=- netf=- bat=- load=1:2 shifts=- \
        lease=1 sub=paxos",
       1266765114325123376,
-      0 );
+      0,
+      [] );
+    (* Two groups behind the router: an owner crash in shard 1 while its
+       directory entry is blocked, so routed and cross-shard parts stall
+       and retry across the takeover. *)
+    ( "shards=2 owner crash+router block",
+      "v1 seed=11 win=4 mut=faithful crashes=150:3 ccrash=- noise=- net=- \
+       parts=- netf=- bat=- load=- shifts=5:1,40:2,77:3 shards=2 \
+       rblk=100:3000:1",
+      3013100414397141973,
+      2122,
+      [] );
+    (* One group, 2 clients x 4 lanes, client 0 crashed over a lossy wire
+       under false suspicions: two of its requests never reach a replica,
+       so the run reaches the client-crash fallback, which rejects. *)
+    ( "lanes+client crash+noise",
+      "v1 seed=1 win=4 mut=faithful crashes=- ccrash=100 \
+       noise=0x1p-2:150:10000 net=0x1p-2:0x0p+0:0 parts=- netf=- bat=- \
+       load=2:4 shifts=-",
+      -776445929171979377,
+      83150,
+      [
+        "workload did not complete";
+        "R3: reserve: no events for this request";
+        "R3: reserve: no events for this request";
+      ] );
   ]
 
 let test_pinned_runs () =
   let sc = Explorer.booking ~requests:6 () in
   List.iter
-    (fun (what, line, fp, steps) ->
+    (fun (what, line, fp, steps, verdict) ->
       match Schedule.of_string line with
       | None -> Alcotest.failf "%s: line does not parse" what
       | Some sch ->
@@ -404,7 +432,8 @@ let test_pinned_runs () =
           checki (what ^ ": trace fingerprint") fp
             (Xsim.Trace.fingerprint trace);
           checki (what ^ ": choice points") steps o.Explorer.steps;
-          Alcotest.(check (list string)) (what ^ ": verdict") [] o.violations)
+          Alcotest.(check (list string))
+            (what ^ ": verdict") verdict o.violations)
     pinned_runs
 
 (* ------------------------------------------------------------------ *)

@@ -79,17 +79,13 @@ let sharded_spec ?(shards = 4) ?(seed = 42) ?(crashes = [])
     crashes;
     clients = 2;
     inflight = 2;
-    service_config =
-      {
-        Service.default_config with
-        Service.shards;
-        n_clients = 2;
-        router = { Service.default_router with Service.blocked };
-      };
+    shards;
+    router = { Deployment.default_router with Deployment.blocked };
+    service_config = { Service.default_config with Service.n_clients = 2 };
   }
 
 let run_mix ?(n = 4) ?(cross_every = 2) spec =
-  Runner.run_sharded ~spec ~setup:Workloads.setup_all
+  Runner.run_deployment ~spec ~setup:Workloads.setup_all
     ~workload:(fun _srv d sess ->
       Workloads.sharded_mix ~n ~cross_every d sess)
     ()
@@ -125,6 +121,54 @@ let test_owner_crash_mid_run () =
   let r, _, _ = run_mix spec in
   checkb "completed despite owner crash" true r.Runner.completed;
   checkb "x-able despite owner crash" true (Runner.ok r)
+
+(* By the section-4 theorem one group is the one-shard deployment, and
+   Deployment builds it as the classic group: plain replica addresses,
+   no router tier, so no router proxy among the detector's observers
+   (an extra observer would change the oracle's noise draws). *)
+let crash_seen ~shards ~observer =
+  let eng = Xsim.Engine.create ~seed:1 () in
+  let env = Xsm.Environment.create eng () in
+  let d = Deployment.create ~shards eng env Service.default_config in
+  let g = Deployment.group d 0 in
+  let target = List.hd (Service.replica_addrs g) in
+  Service.kill_replica g 0;
+  Xsim.Engine.run ~limit:500 eng;
+  (d, Xdetect.Detector.suspects (Service.detector g) ~observer ~target)
+
+let test_one_shard_is_classic_group () =
+  let router0 = Xnet.Address.make ~role:"router" ~index:0 in
+  let client0 = Xnet.Address.make ~role:"client" ~index:0 in
+  let d, client_sees = crash_seen ~shards:1 ~observer:client0 in
+  checki "one group" 1 (Deployment.shards d);
+  Alcotest.(check (list (pair string int)))
+    "replica addresses"
+    [ ("replica", 0); ("replica", 1); ("replica", 2) ]
+    (List.map
+       (fun a -> (Xnet.Address.role a, Xnet.Address.index a))
+       (Service.replica_addrs (Deployment.group d 0)));
+  checkb "client observes the crash" true client_sees;
+  let _, router_sees = crash_seen ~shards:1 ~observer:router0 in
+  checkb "no router0 observer" false router_sees;
+  let _, proxy_sees = crash_seen ~shards:2 ~observer:router0 in
+  checkb "two shards: router0 observes shard 0" true proxy_sees
+
+let test_one_shard_run () =
+  let r, _, d = run_mix (sharded_spec ~shards:1 ()) in
+  checkb "x-able" true (Runner.ok r);
+  checki "no per-shard verdicts" 0 (List.length r.Runner.shard_reports);
+  let totals = Deployment.totals d in
+  checkb "cross requests happened" true
+    (totals.Deployment.cross_requests > 0);
+  checki "no router lookups" 0 totals.Deployment.router.Router.lookups;
+  let r, _ =
+    Runner.run ~spec:Runner.default_spec ~setup:Workloads.setup_all
+      ~workload:(fun _ c s -> Workloads.sequence Workloads.Mixed ~n:3 c s)
+      ()
+  in
+  checkb "Runner.run x-able" true (Runner.ok r);
+  checki "Runner.run: no per-shard verdicts" 0
+    (List.length r.Runner.shard_reports)
 
 let test_router_partition_heals () =
   (* Block the directory entry for shard 1 for a while: routed traffic
@@ -288,6 +332,9 @@ let () =
             test_owner_crash_mid_run;
           Alcotest.test_case "router partition heals" `Quick
             test_router_partition_heals;
+          Alcotest.test_case "one shard is the classic group" `Quick
+            test_one_shard_is_classic_group;
+          Alcotest.test_case "one-shard run" `Quick test_one_shard_run;
         ] );
       ("compose", [ QCheck_alcotest.to_alcotest prop_compose_agrees ]);
     ]
