@@ -1719,13 +1719,6 @@ let e15 () =
 
 let e16_lease : json ref = ref (J_obj [])
 
-let e16_substrates =
-  [
-    ("register", `Register 25);
-    ("paxos", `Paxos (Xnet.Latency.Uniform (10, 40)));
-    ("seqlog", `Seqlog (Xnet.Latency.Uniform (10, 40)));
-  ]
-
 let e16_spec ~substrate ~lease ~loss ~seed () =
   {
     Runner.default_spec with
@@ -1812,7 +1805,7 @@ let e16 () =
             List.map
               (fun lease -> (sub_name, substrate, lease, loss))
               [ false; true ])
-          e16_substrates)
+          Xreplication.Coord.substrates)
       [ 0.0; 0.1 ]
   in
   let table pool =

@@ -167,9 +167,8 @@ let substrate_arg =
   Arg.(
     value
     & opt
-        (enum
-           [ ("register", `Register); ("paxos", `Paxos); ("seqlog", `Seqlog) ])
-        `Register
+        (enum Xreplication.Coord.substrates)
+        (List.assoc "register" Xreplication.Coord.substrates)
     & info [ "substrate"; "backend" ] ~docv:"S"
         ~doc:
           "Consensus substrate: $(b,register) (remote atomic cell), \
@@ -263,11 +262,7 @@ let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
       n_replicas;
       faults = net_faults;
       channel;
-      substrate =
-        (match substrate with
-        | `Register -> `Register 25
-        | `Paxos -> `Paxos (Xnet.Latency.Uniform (10, 40))
-        | `Seqlog -> `Seqlog (Xnet.Latency.Uniform (10, 40)));
+      substrate;
       lease =
         (if lease then Some Xreplication.Lease.default_config else None);
       detector =
@@ -537,18 +532,11 @@ let scenario_arg =
         ~doc:"Explorer workload: $(b,booking) or $(b,mixed).")
 
 let mutation_conv =
-  let parse s =
-    match Mutation.of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown mutation %S (faithful, skip-undo, dup-exec, \
-                early-reply)"
-               s))
-  in
-  Arg.conv (parse, Mutation.pp)
+  Arg.enum
+    (("none", Mutation.Faithful)
+    :: List.map
+         (fun m -> (Mutation.to_string m, m))
+         (Mutation.Faithful :: Mutation.all))
 
 let mutation_arg =
   Arg.(
@@ -612,7 +600,10 @@ let explore_cmd =
     Arg.(
       value & opt int 10
       & info [ "seeds" ] ~docv:"N"
-          ~doc:"Engine seeds per network fault point ($(b,net) strategy).")
+          ~doc:
+            "Engine seeds per fault plan of the $(b,net), $(b,batch), \
+             $(b,xshard) and $(b,lease) sweeps ($(b,lease) uses at most \
+             7).")
   in
   let trials_arg =
     Arg.(
@@ -716,47 +707,22 @@ let explore_cmd =
           at_exit (fun () -> close_out_noerr oc);
           fun line -> output_string oc (line ^ "\n")
     in
-    let found = ref None in
+    let verdicts, cx = Explorer.hunt ?jobs ~mutation scen strategies in
     List.iter
-      (fun strategy ->
-        if !found = None then begin
-          let v =
-            Explorer.explore ?jobs ~stop_on_first:true ~mutation scen strategy
-          in
-          Format.printf "%a@." Explorer.pp_verdict v;
-          emit (Explorer.verdict_to_json v);
-          match v.Explorer.violating with
-          | o :: _ -> found := Some (v, o)
-          | [] -> ()
-        end)
-      strategies;
-    match !found with
+      (fun v ->
+        Format.printf "%a@." Explorer.pp_verdict v;
+        emit (Explorer.verdict_to_json v))
+      verdicts;
+    match cx with
     | None ->
         Format.printf "no violating schedule found@.";
         if expect then 1 else 0
-    | Some (v, o) ->
-        let shrunk, runs = Explorer.shrink scen o in
-        let cx =
-          {
-            Explorer.cx_scenario = scen.Explorer.name;
-            cx_strategy = v.Explorer.v_strategy;
-            cx_explored = v.Explorer.explored;
-            cx_original = o.Explorer.schedule;
-            cx_original_violations = o.Explorer.violations;
-            cx_shrunk = shrunk.Explorer.schedule;
-            cx_violations = shrunk.Explorer.violations;
-            cx_shrink_runs = runs;
-            cx_steps = shrunk.Explorer.steps;
-            cx_events = shrunk.Explorer.events;
-          }
-        in
+    | Some cx ->
         Format.printf "violating schedule (original):@.  %a@." Schedule.pp
-          o.Explorer.schedule;
-        Format.printf "shrunk (%d replays):@.  %a@." runs Schedule.pp
-          shrunk.Explorer.schedule;
-        List.iter
-          (Format.printf "  violation: %s@.")
-          shrunk.Explorer.violations;
+          cx.Explorer.cx_original;
+        Format.printf "shrunk (%d replays):@.  %a@." cx.Explorer.cx_shrink_runs
+          Schedule.pp cx.Explorer.cx_shrunk;
+        List.iter (Format.printf "  violation: %s@.") cx.Explorer.cx_violations;
         emit (Explorer.counterexample_to_json cx);
         if expect then 0 else 1
   in

@@ -38,13 +38,23 @@ type scenario = {
           shard; a one-shard run drives [workload] instead *)
 }
 
-(* Default sharded lane: the cross-shard mix.  [cross_every = 3] (not 2)
-   so the undoable [reserve] arm actually fires on even non-cross
-   iterations — the round-varying output is what makes scheduling bugs
-   observable. *)
-let default_sharded_workload ~requests =
-  fun _svcs d sess ->
-    Workloads.sharded_mix ~n:requests ~cross_every:3 d sess
+(* The built-in scenarios share a generous time limit and quiesce grace,
+   and run the cross-shard mix when a schedule shards them.
+   [cross_every = 3] (not 2) so the undoable [reserve] arm actually fires
+   on even non-cross iterations — the round-varying output is what makes
+   scheduling bugs observable. *)
+let scenario name ~requests ~faults workload =
+  {
+    name;
+    spec =
+      { Runner.default_spec with time_limit = 400_000; quiesce_grace = 6_000 };
+    requests;
+    faults;
+    workload;
+    sharded_workload =
+      (fun _svcs d sess ->
+        Workloads.sharded_mix ~n:requests ~cross_every:3 d sess);
+  }
 
 (* Booking is the canonical explorer workload: [reserve] is undoable and
    its output (the seat) is drawn fresh on each retry round, so a
@@ -52,34 +62,15 @@ let default_sharded_workload ~requests =
    round's seat — produces an observable value conflict, not a silent
    duplicate. *)
 let booking ?(requests = 3) ?(faults = Schedule.no_faults) () =
-  {
-    name = "booking";
-    spec =
-      { Runner.default_spec with time_limit = 400_000; quiesce_grace = 6_000 };
-    requests;
-    faults;
-    workload =
-      (fun _svcs client submit ->
-        for i = 1 to requests do
-          ignore
-            (submit
-               (Workloads.reserve client ~passenger:(Printf.sprintf "p%d" i)))
-        done);
-    sharded_workload = default_sharded_workload ~requests;
-  }
+  scenario "booking" ~requests ~faults (fun _svcs client submit ->
+      for i = 1 to requests do
+        ignore
+          (submit (Workloads.reserve client ~passenger:(Printf.sprintf "p%d" i)))
+      done)
 
 let mixed ?(requests = 4) ?(faults = Schedule.no_faults) () =
-  {
-    name = "mixed";
-    spec =
-      { Runner.default_spec with time_limit = 400_000; quiesce_grace = 6_000 };
-    requests;
-    faults;
-    workload =
-      (fun _svcs client submit ->
-        Workloads.sequence Workloads.Mixed ~n:requests client submit);
-    sharded_workload = default_sharded_workload ~requests;
-  }
+  scenario "mixed" ~requests ~faults (fun _svcs client submit ->
+      Workloads.sequence Workloads.Mixed ~n:requests client submit)
 
 (* ------------------------------------------------------------------ *)
 (* Running one schedule *)
@@ -190,11 +181,9 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
     else sc.Xreplication.Service.lease
   in
   let substrate =
-    match sch.Schedule.substrate with
-    | Some "register" -> `Register 25
-    | Some "paxos" -> `Paxos (Xnet.Latency.Uniform (10, 40))
-    | Some "seqlog" -> `Seqlog (Xnet.Latency.Uniform (10, 40))
-    | Some _ | None -> sc.Xreplication.Service.substrate
+    Option.bind sch.Schedule.substrate (fun name ->
+        List.assoc_opt name Xreplication.Coord.substrates)
+    |> Option.value ~default:sc.Xreplication.Service.substrate
   in
   {
     scenario.spec with
@@ -340,14 +329,16 @@ let run_recorded ?cache scenario (base : Schedule.t) ~p_defer ~walk_seed =
 (* ------------------------------------------------------------------ *)
 (* Parallel sweeps *)
 
-let chunk_list size xs =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: xs ->
-        if n = size then go (List.rev cur :: acc) [ x ] 1 xs
-        else go acc (x :: cur) (n + 1) xs
-  in
-  go [] [] 0 xs
+let rec split n = function
+  | x :: xs when n > 0 ->
+      let taken, rest = split (n - 1) xs in
+      (x :: taken, rest)
+  | xs -> ([], xs)
+
+let rec chunk_list size xs =
+  match split size xs with
+  | [], _ -> []
+  | chunk, rest -> chunk :: chunk_list size rest
 
 (* Map over the pool in chunks of fixed size, one reduction cache per
    chunk.  Chunk layout is independent of the pool size, so the result
@@ -398,301 +389,48 @@ let fold_outcomes v outcomes =
       })
     v outcomes
 
-let base_schedule scenario ~mutation ~window ~seed =
+let base_schedule scenario ~mutation ~seed ~window =
   Schedule.make ~window ~mutation ~crashes:scenario.spec.Runner.crashes
     ?client_crash_at:scenario.spec.Runner.client_crash_at
     ?noise:scenario.spec.Runner.noise ~faults:scenario.faults ~seed ()
 
-let take n xs = List.filteri (fun i _ -> i < n) xs
-let drop n xs = List.filteri (fun i _ -> i >= n) xs
-
+(* The one explore loop: run the strategy's frontier in waves, fold the
+   outcomes, and append each run's children.  Waves have a fixed size
+   (independent of the pool size), so [stop_on_first] stops at a
+   deterministic point. *)
 let explore ?jobs ?(chunk = 16) ?(stop_on_first = false)
     ?(mutation = Xreplication.Mutation.Faithful) scenario
     (strategy : Strategy.t) =
-  let pool = Xpar.Pool.create ?domains:jobs () in
-  let verdict = ref (empty_verdict scenario strategy mutation) in
-  let stop () = stop_on_first && !verdict.violating <> [] in
-  (* Fixed-size waves (independent of pool size) so [stop_on_first] stops
-     at a deterministic point. *)
-  let wave = 4 * chunk in
-  let run_list f xs =
-    List.iter
-      (fun w ->
-        if not (stop ()) then
-          verdict := fold_outcomes !verdict (pool_map pool ~chunk f w))
-      (chunk_list wave xs)
+  let plan =
+    Strategy.plan strategy ~base:(base_schedule scenario ~mutation)
+      ~seed:scenario.spec.Runner.seed
   in
-  (match strategy with
-  | Strategy.Random_walk { trials; p_defer; window } ->
-      run_list
-        (fun ~cache (base, walk_seed) ->
-          run_recorded ~cache scenario base ~p_defer ~walk_seed)
-        (List.init trials (fun i ->
-             let seed = scenario.spec.Runner.seed + i in
-             ( base_schedule scenario ~mutation ~window ~seed,
-               seed lxor 0x2545F4914F6CDD )))
-  | Strategy.Fault_enum { times; replicas; noise; pair_crashes } ->
-      let seed = scenario.spec.Runner.seed in
-      let singles =
-        List.concat_map (fun t -> List.map (fun r -> (t, r)) replicas) times
-      in
-      let plans =
-        List.map (fun c -> [ c ]) singles
-        @
-        if not pair_crashes then []
-        else
-          List.concat_map
-            (fun c1 ->
-              List.filter_map
-                (fun c2 -> if c1 < c2 then Some [ c1; c2 ] else None)
-                singles)
-            singles
-      in
-      run_list
-        (fun ~cache sch -> run_schedule ~cache scenario sch)
-        (List.map
-           (fun crashes ->
-             let base = base_schedule scenario ~mutation ~window:1 ~seed in
-             { base with Schedule.crashes; noise })
-           plans)
-  | Strategy.Net_fault { seeds; loss_levels; dup; jitter; partition_windows; groups }
-    ->
-      let seed0 = scenario.spec.Runner.seed in
-      (* Every loss level, with no partition and with every window × group,
-         [seeds] engine seeds each.  Scheduling is deterministic (window 1):
-         the swept dimension is the channel, not the interleaving. *)
-      let plans =
+  let run ~cache = function
+    | Strategy.Run sch -> run_schedule ~cache scenario sch
+    | Strategy.Walk { base; p_defer; walk_seed } ->
+        run_recorded ~cache scenario base ~p_defer ~walk_seed
+  in
+  let pool = Xpar.Pool.create ?domains:jobs () in
+  let rec loop v frontier budget =
+    if frontier = [] || budget <= 0 || (stop_on_first && v.violating <> [])
+    then v
+    else
+      let wave, rest = split (min budget (4 * chunk)) frontier in
+      let outs = pool_map pool ~chunk run wave in
+      let children =
         List.concat_map
-          (fun loss ->
-            let base =
-              {
-                Schedule.loss;
-                dup_prob = dup;
-                jitter;
-                partitions = [];
-                forced = [];
-              }
-            in
-            base
-            :: List.concat_map
-                 (fun (s, h) ->
-                   List.map
-                     (fun g -> { base with Schedule.partitions = [ (s, h, g) ] })
-                     groups)
-                 partition_windows)
-          loss_levels
+          (fun o -> plan.Strategy.children o.schedule ~steps:o.steps)
+          outs
       in
-      run_list
-        (fun ~cache sch -> run_schedule ~cache scenario sch)
-        (List.concat_map
-           (fun plan ->
-             List.init seeds (fun i ->
-                 let base =
-                   base_schedule scenario ~mutation ~window:1 ~seed:(seed0 + i)
-                 in
-                 { base with Schedule.faults = plan }))
-           plans)
-  | Strategy.Batch_boundary { seeds; batch; pipeline; tick } ->
-      let seed0 = scenario.spec.Runner.seed in
-      (* The instants the batcher acts at: around the first few epoch
-         ticks (partial-batch flushes) and their immediate neighbours.
-         50 schedules per seed: 9 owner crashes + 9 suspicion bursts +
-         32 single-deferral reorders. *)
-      let edges =
-        [
-          tick / 2;
-          tick - 1;
-          tick;
-          tick + 1;
-          tick + (tick / 4);
-          2 * tick;
-          (2 * tick) + 1;
-          3 * tick;
-          4 * tick;
-        ]
-      in
-      let schedules_for seed =
-        let base window =
-          {
-            (base_schedule scenario ~mutation ~window ~seed) with
-            Schedule.batching = Some (batch, pipeline, tick);
-            load = Some (2, 4);
-          }
-        in
-        (* Kill the dispatching replica exactly at a flush boundary:
-           batches die between slot claim and outcome. *)
-        List.map (fun e -> { (base 1) with Schedule.crashes = [ (e, 0) ] }) edges
-        (* False-suspicion bursts ending just after each boundary: a
-           cleaner races the live owner for a partial batch's outcome. *)
-        @ List.map
-            (fun e ->
-              { (base 1) with Schedule.noise = Some (0.5, 200, e + 400) })
-            edges
-        (* Single early deferrals: reorder overlapping pipelined batch
-           fibers against each other. *)
-        @ List.concat_map
-            (fun step ->
-              List.map
-                (fun k -> { (base 4) with Schedule.shifts = [ (step, k) ] })
-                [ 1; 2 ])
-            (List.init 16 Fun.id)
-      in
-      run_list
-        (fun ~cache sch -> run_schedule ~cache scenario sch)
-        (List.concat_map schedules_for (List.init seeds (fun i -> seed0 + i)))
-  | Strategy.Cross_shard { seeds; shards; group_size; crash_times; block_windows }
-    ->
-      let seed0 = scenario.spec.Runner.seed in
-      (* Per seed: a fault-free sharded baseline, then one owner crash per
-         shard × crash instant (the instants straddle the window in which
-         cross-shard sub-requests are in flight), then one router-shard
-         partition per shard × window.  Scheduling is deterministic
-         (window 1): the swept dimensions are the crash/partition plans. *)
-      let shard_ids = List.init shards Fun.id in
-      let schedules_for seed =
-        let base =
-          {
-            (base_schedule scenario ~mutation ~window:1 ~seed) with
-            Schedule.shards = Some shards;
-            load = Some (1, 2);
-          }
-        in
-        base
-        :: List.concat_map
-             (fun s ->
-               List.map
-                 (fun t ->
-                   { base with Schedule.crashes = [ (t, s * group_size) ] })
-                 crash_times)
-             shard_ids
-        @ List.concat_map
-            (fun s ->
-              List.map
-                (fun (f, u) ->
-                  { base with Schedule.router_blocks = [ (f, u, s) ] })
-                block_windows)
-            shard_ids
-      in
-      run_list
-        (fun ~cache sch -> run_schedule ~cache scenario sch)
-        (List.concat_map schedules_for (List.init seeds (fun i -> seed0 + i)))
-  | Strategy.Lease_edge { seeds; substrates; renew_interval; duration } ->
-      let seed0 = scenario.spec.Runner.seed in
-      (* The instants the lease changes hands or state: the grant (t≈0),
-         the first two renewals, and expiry — each with its immediate
-         neighbours (±ε), so a crash or suspicion lands just before, at,
-         and just after the boundary. *)
-      let eps = 10 in
-      let edges =
-        [
-          1;
-          renew_interval / 2;
-          renew_interval - eps;
-          renew_interval;
-          renew_interval + eps;
-          (2 * renew_interval) - eps;
-          2 * renew_interval;
-          (2 * renew_interval) + eps;
-          duration - eps;
-          duration;
-          duration + eps;
-        ]
-      in
-      (* Partitions severing the holder (replica 0) across a boundary:
-         while cut off it cannot renew, so the lease lapses mid-window
-         and a challenger acquires; heal must not outlive the run. *)
-      let windows =
-        [
-          (0, renew_interval + 200);
-          (renew_interval - 50, renew_interval + 400);
-          ((2 * renew_interval) - 50, (2 * renew_interval) + 400);
-          (duration - 50, duration + 400);
-        ]
-      in
-      let schedules_for seed sub =
-        let base =
-          {
-            (base_schedule scenario ~mutation ~window:1 ~seed) with
-            Schedule.lease = true;
-            substrate = Some sub;
-            load = Some (2, 4);
-          }
-        in
-        (* Fault-free leased baseline: the fast path itself, per substrate. *)
-        base
-        (* Kill the holder exactly at each boundary: its fast decisions
-           race the takeover and the fence epoch must settle the race. *)
-        :: List.map (fun e -> { base with Schedule.crashes = [ (e, 0) ] }) edges
-        (* False-suspicion bursts ending just past each boundary: a
-           challenger breaks a live holder's lease (clock-jitter stand-in). *)
-        @ List.map
-            (fun e ->
-              { base with Schedule.noise = Some (0.5, 150, e + 400) })
-            edges
-        (* Sever the holder across a boundary: it keeps fast-deciding on a
-           lease the rest of the group watches lapse. *)
-        @ List.map
-            (fun (f, u) ->
-              {
-                base with
-                Schedule.faults =
-                  {
-                    Schedule.no_faults with
-                    Schedule.partitions = [ (f, u, [ 0 ]) ];
-                  };
-              })
-            windows
-      in
-      run_list
-        (fun ~cache sch -> run_schedule ~cache scenario sch)
-        (List.concat_map
-           (fun sub ->
-             List.concat_map
-               (fun i -> schedules_for (seed0 + i) sub)
-               (List.init seeds Fun.id))
-           substrates)
-  | Strategy.Delay_dfs { budget; max_delays; horizon; window } ->
-      let seed = scenario.spec.Runner.seed in
-      let root = base_schedule scenario ~mutation ~window ~seed in
-      (* A schedule with d deferrals spawns children with d+1 (one more
-         deferral strictly after its last), bounded by the choice points
-         its own run actually offered (and [horizon]).  The frontier is a
-         FIFO over generations, so all depth-1 schedules run before any
-         depth-2 one. *)
-      let children (o : outcome) =
-        let sch = o.schedule in
-        if List.length sch.Schedule.shifts >= max_delays then []
-        else
-          let first =
-            match List.rev sch.Schedule.shifts with
-            | (last, _) :: _ -> last + 1
-            | [] -> 0
-          in
-          let upto = min o.steps horizon in
-          List.concat_map
-            (fun step ->
-              List.map
-                (fun k ->
-                  { sch with Schedule.shifts = sch.Schedule.shifts @ [ (step, k) ] })
-                (List.init (max 0 (window - 1)) (fun i -> i + 1)))
-            (List.init (max 0 (upto - first)) (fun i -> first + i))
-      in
-      let remaining = ref budget in
-      let frontier = ref [ root ] in
-      while !frontier <> [] && !remaining > 0 && not (stop ()) do
-        let batch = take (min !remaining wave) !frontier in
-        frontier := drop (List.length batch) !frontier;
-        remaining := !remaining - List.length batch;
-        let outs =
-          pool_map pool ~chunk
-            (fun ~cache sch -> run_schedule ~cache scenario sch)
-            batch
-        in
-        verdict := fold_outcomes !verdict outs;
-        frontier := !frontier @ List.concat_map children outs
-      done);
+      loop (fold_outcomes v outs) (rest @ children)
+        (budget - List.length wave)
+  in
+  let v =
+    loop (empty_verdict scenario strategy mutation) plan.Strategy.frontier
+      plan.Strategy.budget
+  in
   Xpar.Pool.shutdown pool;
-  !verdict
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Finding, shrinking and dumping counterexamples *)
@@ -710,30 +448,28 @@ type counterexample = {
   cx_events : int;
 }
 
-let shrink ?cache scenario (o : outcome) =
-  let cache = match cache with Some c -> c | None -> Checker.create_cache () in
-  let reproduces sch = violating (run_schedule ~cache scenario sch) in
-  let shrunk, runs = Shrink.shrink ~reproduces o.schedule in
-  let final = run_schedule ~cache scenario shrunk in
-  (final, runs)
-
 let hunt ?jobs ?chunk ?mutation scenario strategies =
-  let rec go explored = function
-    | [] -> (explored, None)
+  let rec go verdicts = function
+    | [] -> (List.rev verdicts, None)
     | strategy :: rest -> (
         let v =
           explore ?jobs ?chunk ~stop_on_first:true ?mutation scenario strategy
         in
-        let explored = explored + v.explored in
+        let verdicts = v :: verdicts in
         match v.violating with
+        | [] -> go verdicts rest
         | o :: _ ->
-            let final, runs = shrink scenario o in
-            ( explored,
+            let cache = Checker.create_cache () in
+            let reproduces sch = violating (run_schedule ~cache scenario sch) in
+            let shrunk, runs = Shrink.shrink ~reproduces o.schedule in
+            let final = run_schedule ~cache scenario shrunk in
+            ( List.rev verdicts,
               Some
                 {
                   cx_scenario = scenario.name;
                   cx_strategy = v.v_strategy;
-                  cx_explored = explored;
+                  cx_explored =
+                    List.fold_left (fun n v -> n + v.explored) 0 verdicts;
                   cx_original = o.schedule;
                   cx_original_violations = o.violations;
                   cx_shrunk = final.schedule;
@@ -741,10 +477,9 @@ let hunt ?jobs ?chunk ?mutation scenario strategies =
                   cx_shrink_runs = runs;
                   cx_steps = final.steps;
                   cx_events = final.events;
-                } )
-        | [] -> go explored rest)
+                } ))
   in
-  go 0 strategies
+  go [] strategies
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

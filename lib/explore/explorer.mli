@@ -19,8 +19,8 @@ type scenario = {
                                      seed, faults, and protocol variant *)
   requests : int;
   faults : Schedule.fault_plan;
-      (** base network fault plan stamped on every schedule; strategies
-          (notably {!Strategy.Net_fault}) may replace it per schedule *)
+      (** base network fault plan stamped on every schedule; a sweep
+          (notably {!Strategy.net_fault}) may replace it per schedule *)
   workload :
     Xworkload.Workloads.services ->
     Xreplication.Client.t ->
@@ -112,16 +112,21 @@ val explore :
   scenario ->
   Strategy.t ->
   verdict
-(** Sweep the strategy's schedules over the scenario.  [jobs] sizes the
-    domain pool (default: the [JOBS] environment variable); [chunk]
-    (default 16) is the unit of work sharing one reduction cache;
-    [stop_on_first] stops at the first wave containing a violation;
-    [mutation] stamps every schedule with a protocol variant. *)
+(** Run the strategy's {!Strategy.plan} over the scenario in one loop:
+    take waves of [4 * chunk] jobs from the frontier (up to the plan's
+    budget), run each wave over the pool, fold the outcomes, and append
+    each run's children.  [jobs] sizes the domain pool (default: the
+    [JOBS] environment variable); [chunk] (default 16) is the unit of
+    work sharing one reduction cache; [stop_on_first] stops after the
+    first wave containing a violation; [mutation] stamps every schedule
+    with a protocol variant. *)
 
 type counterexample = {
   cx_scenario : string;
   cx_strategy : string;
   cx_explored : int;
+      (** schedules explored by every strategy the hunt ran, this one
+          included *)
   cx_original : Schedule.t;
   cx_original_violations : string list;
   cx_shrunk : Schedule.t;
@@ -131,19 +136,17 @@ type counterexample = {
   cx_events : int;
 }
 
-val shrink : ?cache:Checker.cache -> scenario -> outcome -> outcome * int
-(** ddmin the outcome's schedule; returns the re-judged shrunk outcome
-    and the number of replay runs spent. *)
-
 val hunt :
   ?jobs:int ->
   ?chunk:int ->
   ?mutation:Xreplication.Mutation.t ->
   scenario ->
   Strategy.t list ->
-  int * counterexample option
-(** Run strategies in order until one finds a violation; shrink it.
-    Returns (total schedules explored, counterexample if any). *)
+  verdict list * counterexample option
+(** Run strategies in order, each with [stop_on_first], until one finds
+    a violation; ddmin that violation's schedule ({!Shrink}) and re-judge
+    it.  Returns the verdict of every strategy run, in order, and the
+    counterexample if any. *)
 
 val counterexample_to_json : counterexample -> string
 (** One-line JSON object (machine-readable dump). *)

@@ -308,15 +308,12 @@ let parse line =
         token_or "lease" ~default:"0"
           (one_of "lease flag" [ ("0", false); ("1", true) ])
       in
+      let substrates =
+        List.map (fun (n, _) -> (n, Some n)) Xreplication.Coord.substrates
+      in
       let* substrate =
         token_or "sub" ~default:"-"
-          (one_of "substrate"
-             [
-               ("-", None);
-               ("register", Some "register");
-               ("paxos", Some "paxos");
-               ("seqlog", Some "seqlog");
-             ])
+          (one_of "substrate" (("-", None) :: substrates))
       in
       let faults = { loss; dup_prob; jitter; partitions; forced } in
       Ok

@@ -1,6 +1,6 @@
-(* Exploration strategies.  A strategy is a recipe for which schedules to
-   run; the explorer interprets it.  Three families, per the classic
-   model-checking toolbox:
+(* Exploration strategies as schedule generators.  Each strategy yields a
+   plan: the jobs to run first, a run budget, and the children a finished
+   run adds to the frontier.  The explorer runs every plan in one loop.
 
    - [Random_walk]: replayable random scheduling.  Each trial runs with a
      fresh engine seed and a chooser that defers the front of the ready
@@ -16,87 +16,75 @@
      observation, which x-ability's own failure modes match: one
      mistimed takeover or duplicate delivery suffices).
 
-   - [Fault_enum]: targeted fault-schedule enumeration.  No scheduling
-     shifts; instead sweep crash injection times across replicas, with
-     optional false-suspicion noise.  This searches the dimension the
-     paper's protocol is actually defensive about: which instant the
-     owner dies.
+   - [Sweep]: a named, fixed schedule list built from the explorer's base
+     schedule.  The five sweeps below each aim faults at one place the
+     protocol must defend. *)
 
-   - [Net_fault]: network fault-plane enumeration.  Sweep message-loss
-     levels (with optional duplication and jitter) and timed partition
-     windows across candidate minority groups, several engine seeds per
-     fault point.  This probes the channel dimension: the paper assumes
-     reliable links, so the protocol must stay x-able when that
-     assumption is discharged by the ARQ layer instead.
-
-   - [Batch_boundary]: adversity at the edges of the batched hot path.
-     With batching/pipelining on and a concurrent workload, enumerate
-     owner crashes at epoch-tick boundaries (mid-batch and just before /
-     after a flush), false-suspicion bursts ending near those boundaries
-     (a cleaner deciding a slot's outcome against a live owner — the
-     partial-batch decision race), and single deferred choice points
-     early in the run (reordering pipelined batch fibers).  This targets
-     exactly the windows the batch log opens: between slot claim and
-     outcome, and between overlapping in-flight batches.
-
-   - [Lease_edge]: adversity at the boundaries of the leased-owner fast
-     path.  With the lease enabled (and swept across every consensus
-     substrate), enumerate owner crashes at lease-grant, renewal and
-     expiry instants (and their immediate neighbours), false-suspicion
-     bursts ending just after those instants (a challenger breaking a
-     live owner's lease — the fence-epoch race), and partitions severing
-     the holder across a renewal or expiry boundary (the holder keeps
-     fast-deciding on a lease the rest of the group thinks lapsed).
-     This targets exactly the windows the lease opens: between a grant
-     and its first renewal, across each renewal, and at expiry.
-
-   - [Cross_shard]: adversity against the sharded deployment's weak
-     spots.  Run the scenario on an N-way sharded deployment under a
-     cross-shard workload and enumerate, per engine seed: owner crashes
-     in every shard at instants chosen to land mid-cross-shard-request
-     (between a sub-request landing on one shard and its sibling landing
-     on another), and router-directory partitions (one shard's entry
-     unavailable for a window, stalling routed traffic).  The section-4
-     composition theorem says the whole history is x-able iff each
-     shard's projection is; this strategy attacks exactly the seams that
-     theorem stitches. *)
+type base = seed:int -> window:int -> Schedule.t
 
 type t =
   | Random_walk of { trials : int; p_defer : float; window : int }
   | Delay_dfs of { budget : int; max_delays : int; horizon : int; window : int }
-  | Fault_enum of {
-      times : int list;
-      replicas : int list;
-      noise : (float * int * int) option;
-      pair_crashes : bool;  (** also try all ordered pairs of crashes *)
+  | Sweep of {
+      name : string;
+      schedules : base:base -> seed:int -> Schedule.t list;
     }
-  | Net_fault of {
-      seeds : int;  (** engine seeds per fault point *)
-      loss_levels : float list;  (** drop probabilities to sweep *)
-      dup : float;  (** duplication probability at every point *)
-      jitter : int;  (** reorder jitter at every point *)
-      partition_windows : (int * int) list;  (** (start, heal) to try *)
-      groups : int list list;  (** candidate severed replica groups *)
-    }
-  | Batch_boundary of {
-      seeds : int;  (** engine seeds per boundary plan *)
-      batch : int;  (** batch size under test *)
-      pipeline : int;  (** pipeline depth under test *)
-      tick : int;  (** epoch tick — defines the boundary instants *)
-    }
-  | Cross_shard of {
-      seeds : int;  (** engine seeds per fault plan *)
-      shards : int;  (** shard count of the deployment under test *)
-      group_size : int;  (** replicas per shard (flat crash indexing) *)
-      crash_times : int list;  (** candidate owner-crash instants *)
-      block_windows : (int * int) list;  (** router-partition windows *)
-    }
-  | Lease_edge of {
-      seeds : int;  (** engine seeds per fault plan *)
-      substrates : string list;  (** substrate names swept, lease on *)
-      renew_interval : int;  (** lease renew period — boundary instants *)
-      duration : int;  (** lease duration — the expiry boundary *)
-    }
+
+type job =
+  | Run of Schedule.t
+  | Walk of { base : Schedule.t; p_defer : float; walk_seed : int }
+
+type plan = {
+  frontier : job list;
+  budget : int;
+  children : Schedule.t -> steps:int -> job list;
+}
+
+(* A frontier that is run as it stands: no children, no budget. *)
+let fixed frontier =
+  { frontier; budget = max_int; children = (fun _ ~steps:_ -> []) }
+
+(* A schedule with d deferrals spawns children with d+1 (one more
+   deferral strictly after its last), bounded by the choice points its
+   own run actually offered (and [horizon]).  Children join the back of
+   the frontier, so all depth-1 schedules run before any depth-2 one. *)
+let dfs_children ~max_delays ~horizon ~window (sch : Schedule.t) ~steps =
+  if List.length sch.Schedule.shifts >= max_delays then []
+  else
+    let first =
+      match List.rev sch.Schedule.shifts with
+      | (last, _) :: _ -> last + 1
+      | [] -> 0
+    in
+    let defer step k =
+      Run { sch with Schedule.shifts = sch.Schedule.shifts @ [ (step, k) ] }
+    in
+    List.concat_map
+      (fun step -> List.init (max 0 (window - 1)) (fun i -> defer step (i + 1)))
+      (List.init (max 0 (min steps horizon - first)) (fun i -> first + i))
+
+let plan t ~(base : base) ~seed =
+  match t with
+  | Random_walk { trials; p_defer; window } ->
+      let trial i =
+        let seed = seed + i in
+        let walk_seed = seed lxor 0x2545F4914F6CDD in
+        Walk { base = base ~seed ~window; p_defer; walk_seed }
+      in
+      fixed (List.init trials trial)
+  | Delay_dfs { budget; max_delays; horizon; window } ->
+      {
+        frontier = [ Run (base ~seed ~window) ];
+        budget;
+        children = dfs_children ~max_delays ~horizon ~window;
+      }
+  | Sweep { schedules; _ } ->
+      fixed (List.map (fun s -> Run s) (schedules ~base ~seed))
+
+let name = function
+  | Random_walk _ -> "random-walk"
+  | Delay_dfs _ -> "delay-dfs"
+  | Sweep { name; _ } -> name
 
 let random_walk ?(trials = 100) ?(p_defer = 0.15) ?(window = 4) () =
   Random_walk { trials; p_defer; window }
@@ -105,71 +93,237 @@ let delay_dfs ?(budget = 200) ?(max_delays = 2) ?(horizon = 64) ?(window = 4) ()
     =
   Delay_dfs { budget; max_delays; horizon; window }
 
-let fault_enum ?noise ?(pair_crashes = false) ~times ~replicas () =
-  Fault_enum { times; replicas; noise; pair_crashes }
+(* [n] consecutive engine seeds from [seed]. *)
+let seeds_from seed n = List.init n (fun i -> seed + i)
 
+(* No scheduling shifts: sweep crash instants across replicas under one
+   engine seed, with optional false-suspicion noise — which instant the
+   owner dies is what the protocol is defensive about. *)
+let fault_enum ?noise ?(pair_crashes = false) ~times ~replicas () =
+  let singles =
+    List.concat_map (fun t -> List.map (fun r -> (t, r)) replicas) times
+  in
+  let pairs =
+    if not pair_crashes then []
+    else
+      List.concat_map
+        (fun c1 ->
+          List.filter_map
+            (fun c2 -> if c1 < c2 then Some [ c1; c2 ] else None)
+            singles)
+        singles
+  in
+  let plans = List.map (fun c -> [ c ]) singles @ pairs in
+  Sweep
+    {
+      name = "fault-enum";
+      schedules =
+        (fun ~base ~seed ->
+          List.map
+            (fun crashes ->
+              { (base ~seed ~window:1) with Schedule.crashes; noise })
+            plans);
+    }
+
+(* Every loss level, with no partition and with every window × group,
+   [seeds] engine seeds each.  Scheduling is deterministic (window 1):
+   the swept dimension is the channel, not the interleaving. *)
 let net_fault ?(dup = 0.0) ?(jitter = 0) ?(partition_windows = [])
     ?(groups = [ [ 0 ] ]) ?(seeds = 10) ~loss_levels () =
-  Net_fault { seeds; loss_levels; dup; jitter; partition_windows; groups }
+  let plans =
+    List.concat_map
+      (fun loss ->
+        let plain =
+          {
+            Schedule.loss;
+            dup_prob = dup;
+            jitter;
+            partitions = [];
+            forced = [];
+          }
+        in
+        plain
+        :: List.concat_map
+             (fun (s, h) ->
+               List.map
+                 (fun g -> { plain with Schedule.partitions = [ (s, h, g) ] })
+                 groups)
+             partition_windows)
+      loss_levels
+  in
+  Sweep
+    {
+      name = "net-fault";
+      schedules =
+        (fun ~base ~seed ->
+          List.concat_map
+            (fun faults ->
+              List.map
+                (fun seed -> { (base ~seed ~window:1) with Schedule.faults })
+                (seeds_from seed seeds))
+            plans);
+    }
 
+(* With batching/pipelining on and a concurrent workload: owner crashes
+   at the instants the batcher acts (around the first few epoch ticks,
+   where partial batches flush, and their neighbours), false-suspicion
+   bursts ending near them (a cleaner races the live owner for a partial
+   batch's outcome), and single early deferrals (reordering overlapping
+   pipelined batch fibers).  50 schedules per seed. *)
 let batch_boundary ?(batch = 16) ?(pipeline = 4) ?(tick = 100) ?(seeds = 10) ()
     =
-  Batch_boundary { seeds; batch; pipeline; tick }
+  let edges =
+    [
+      tick / 2;
+      tick - 1;
+      tick;
+      tick + 1;
+      tick + (tick / 4);
+      2 * tick;
+      (2 * tick) + 1;
+      3 * tick;
+      4 * tick;
+    ]
+  in
+  let for_seed (base : base) seed =
+    let base window =
+      {
+        (base ~seed ~window) with
+        Schedule.batching = Some (batch, pipeline, tick);
+        load = Some (2, 4);
+      }
+    in
+    List.map (fun e -> { (base 1) with Schedule.crashes = [ (e, 0) ] }) edges
+    @ List.map
+        (fun e -> { (base 1) with Schedule.noise = Some (0.5, 200, e + 400) })
+        edges
+    @ List.concat_map
+        (fun step ->
+          List.map
+            (fun k -> { (base 4) with Schedule.shifts = [ (step, k) ] })
+            [ 1; 2 ])
+        (List.init 16 Fun.id)
+  in
+  Sweep
+    {
+      name = "batch-boundary";
+      schedules =
+        (fun ~base ~seed ->
+          List.concat_map (for_seed base) (seeds_from seed seeds));
+    }
 
-(* Crash instants default to the window cross-shard sub-requests are in
-   flight during (router lookup latency + consensus rounds put the first
-   cross fan-outs in the low hundreds of virtual-time units); block
-   windows open at t=0 so the very first routed request stalls, and heal
-   early enough that the run still completes. *)
+(* Per seed, on an N-way sharded deployment: a fault-free baseline, one
+   owner crash per shard × instant, then one router-shard partition per
+   shard × window.  Crash instants default to the window cross-shard
+   sub-requests are in flight during (router lookup latency + consensus
+   rounds put the first cross fan-outs in the low hundreds of
+   virtual-time units); block windows open at t=0 so the very first
+   routed request stalls, and heal early enough that the run still
+   completes. *)
 let cross_shard ?(shards = 4) ?(group_size = 3)
     ?(crash_times = [ 60; 80; 120; 150; 220; 300; 400; 550; 700 ])
-    ?(block_windows = [ (0, 2_000); (100, 3_000); (500, 4_000); (1_000, 5_000) ])
+    ?(block_windows =
+      [ (0, 2_000); (100, 3_000); (500, 4_000); (1_000, 5_000) ])
     ?(seeds = 10) () =
-  Cross_shard { seeds; shards; group_size; crash_times; block_windows }
+  let shard_ids = List.init shards Fun.id in
+  let for_seed (base : base) seed =
+    let base =
+      {
+        (base ~seed ~window:1) with
+        Schedule.shards = Some shards;
+        load = Some (1, 2);
+      }
+    in
+    base
+    :: List.concat_map
+         (fun s ->
+           List.map
+             (fun t -> { base with Schedule.crashes = [ (t, s * group_size) ] })
+             crash_times)
+         shard_ids
+    @ List.concat_map
+        (fun s ->
+          List.map
+            (fun (f, u) -> { base with Schedule.router_blocks = [ (f, u, s) ] })
+            block_windows)
+        shard_ids
+  in
+  Sweep
+    {
+      name = "cross-shard";
+      schedules =
+        (fun ~base ~seed ->
+          List.concat_map (for_seed base) (seeds_from seed seeds));
+    }
 
-(* 27 schedules per (seed, substrate): a fault-free leased baseline, an
-   owner crash at each of 11 boundary instants (grant, first/second
-   renewal, expiry, each ±ε), a suspicion burst ending just past each
-   instant, and 4 holder partitions straddling the boundaries.  The
-   defaults give 27 × 3 substrates × 7 seeds = 567 schedules. *)
+(* With the lease on, per (substrate, seed): a fault-free leased
+   baseline; the holder killed at each instant the lease changes hands
+   or state — the grant (t≈0), the first two renewals and expiry, each
+   with its neighbours ±ε — so its fast decisions race the takeover and
+   the fence epoch must settle the race; false-suspicion bursts ending
+   just past each instant (a challenger breaks a live holder's lease);
+   and the holder severed across a boundary, so it keeps fast-deciding
+   on a lease the rest of the group watches lapse.  27 schedules. *)
 let lease_edge ?(substrates = [ "register"; "paxos"; "seqlog" ])
     ?(renew_interval = 200) ?(duration = 600) ?(seeds = 7) () =
-  Lease_edge { seeds; substrates; renew_interval; duration }
-
-let name = function
-  | Random_walk _ -> "random-walk"
-  | Delay_dfs _ -> "delay-dfs"
-  | Fault_enum _ -> "fault-enum"
-  | Net_fault _ -> "net-fault"
-  | Batch_boundary _ -> "batch-boundary"
-  | Cross_shard _ -> "cross-shard"
-  | Lease_edge _ -> "lease-edge"
-
-let describe = function
-  | Random_walk { trials; p_defer; window } ->
-      Printf.sprintf "random-walk trials=%d p_defer=%g window=%d" trials
-        p_defer window
-  | Delay_dfs { budget; max_delays; horizon; window } ->
-      Printf.sprintf "delay-dfs budget=%d max_delays=%d horizon=%d window=%d"
-        budget max_delays horizon window
-  | Fault_enum { times; replicas; noise; pair_crashes } ->
-      Printf.sprintf "fault-enum times=%d replicas=%d noise=%b pairs=%b"
-        (List.length times) (List.length replicas) (noise <> None) pair_crashes
-  | Net_fault { seeds; loss_levels; dup; jitter; partition_windows; groups } ->
-      Printf.sprintf
-        "net-fault losses=%d dup=%g jitter=%d windows=%d groups=%d seeds=%d"
-        (List.length loss_levels) dup jitter
-        (List.length partition_windows)
-        (List.length groups) seeds
-  | Batch_boundary { seeds; batch; pipeline; tick } ->
-      Printf.sprintf "batch-boundary batch=%d pipeline=%d tick=%d seeds=%d"
-        batch pipeline tick seeds
-  | Cross_shard { seeds; shards; group_size; crash_times; block_windows } ->
-      Printf.sprintf
-        "cross-shard shards=%d group=%d crash_times=%d windows=%d seeds=%d"
-        shards group_size (List.length crash_times)
-        (List.length block_windows)
-        seeds
-  | Lease_edge { seeds; substrates; renew_interval; duration } ->
-      Printf.sprintf "lease-edge substrates=%d renew=%d duration=%d seeds=%d"
-        (List.length substrates) renew_interval duration seeds
+  let eps = 10 in
+  let edges =
+    [
+      1;
+      renew_interval / 2;
+      renew_interval - eps;
+      renew_interval;
+      renew_interval + eps;
+      (2 * renew_interval) - eps;
+      2 * renew_interval;
+      (2 * renew_interval) + eps;
+      duration - eps;
+      duration;
+      duration + eps;
+    ]
+  in
+  (* Heal must not outlive the run. *)
+  let windows =
+    [
+      (0, renew_interval + 200);
+      (renew_interval - 50, renew_interval + 400);
+      ((2 * renew_interval) - 50, (2 * renew_interval) + 400);
+      (duration - 50, duration + 400);
+    ]
+  in
+  let for_seed (base : base) sub seed =
+    let base =
+      {
+        (base ~seed ~window:1) with
+        Schedule.lease = true;
+        substrate = Some sub;
+        load = Some (2, 4);
+      }
+    in
+    base
+    :: List.map (fun e -> { base with Schedule.crashes = [ (e, 0) ] }) edges
+    @ List.map
+        (fun e -> { base with Schedule.noise = Some (0.5, 150, e + 400) })
+        edges
+    @ List.map
+        (fun (f, u) ->
+          {
+            base with
+            Schedule.faults =
+              {
+                Schedule.no_faults with
+                Schedule.partitions = [ (f, u, [ 0 ]) ];
+              };
+          })
+        windows
+  in
+  Sweep
+    {
+      name = "lease-edge";
+      schedules =
+        (fun ~base ~seed ->
+          List.concat_map
+            (fun sub ->
+              List.concat_map (for_seed base sub) (seeds_from seed seeds))
+            substrates);
+    }

@@ -1,91 +1,65 @@
-(** Exploration strategies: recipes for which schedules to run.
+(** Exploration strategies: each one is a schedule generator.
 
-    A strategy only {e describes} a family of {!Schedule.t}s; the
-    {!Explorer} interprets it. Three families, per the classic
-    model-checking toolbox (see DESIGN.md "Schedule-space exploration"):
+    A strategy says which schedules to run; {!Explorer.explore} runs them
+    in one loop (see DESIGN.md "Schedule-space exploration").  The loop
+    asks the strategy for its {!plan}: an initial frontier of {!job}s, a
+    run budget, and a [children] function that may extend the frontier
+    from each finished run.  Three kinds of strategy:
 
-    - {b Random walk}: replayable random scheduling. Each trial runs with
+    - {b Random walk}: replayable random scheduling.  Each trial runs with
       a fresh engine seed and a chooser that defers the front of the
       ready window with probability [p_defer]; the picks it makes are
       recorded as shifts, so the trial replays byte-identically without
       the RNG.
     - {b Delay-bounded DFS}: systematic search that extends the default
       schedule with at most [max_delays] deferrals within the first
-      [horizon] choice points. Small delay bounds cover a
+      [horizon] choice points.  Small delay bounds cover a
       disproportionate share of real concurrency bugs — including
       x-ability's own failure modes, where one mistimed takeover or
-      duplicate delivery suffices.
-    - {b Fault enumeration}: no scheduling shifts; sweep crash injection
-      times across replicas (optionally with false-suspicion noise) —
-      the dimension the paper's protocol (section 5) is defensive about:
-      the instant the owner dies.
-    - {b Network fault enumeration}: sweep the channel fault plane —
-      message-loss levels, duplication, and timed partition windows over
-      candidate minority groups — with several engine seeds per point.
-      This is the dimension the paper {e assumes} away (section 5.2
-      reliable channels); with the {!Xnet.Reliable} ARQ layer installed
-      the protocol must stay x-able anyway.
-    - {b Batch boundaries}: with batching/pipelining on and a concurrent
-      workload, place owner crashes at epoch-tick boundaries, end
-      false-suspicion bursts near them (cleaner-vs-owner partial-batch
-      decision races), and defer single early choice points (pipeline
-      reorder) — the windows the batch log opens between slot claim and
-      outcome.
-    - {b Lease edges}: with the leased-owner fast path on (swept across
-      every consensus substrate), place owner crashes at lease grant,
-      renewal and expiry boundary instants, end false-suspicion bursts
-      just past them (challenger-vs-live-holder fence races), and sever
-      the holder across renewal/expiry windows — the instants at which a
-      stale lease could let two owners decide.
-    - {b Cross-shard}: run the scenario on an N-way sharded deployment
-      ({!Xshard.Deployment}) under a cross-shard workload and enumerate
-      owner crashes per shard at instants chosen to land mid-cross-shard
-      request, plus router-directory partition windows per shard — the
-      seams the section-4 composition theorem stitches. *)
+      duplicate delivery suffices.  It is the only strategy whose
+      [children] are not empty.
+    - {b Sweeps}: a named, fixed list of schedules derived from the
+      explorer's base schedule.  {!fault_enum}, {!net_fault},
+      {!batch_boundary}, {!cross_shard} and {!lease_edge} are sweeps;
+      adding one means writing its generator, with no explorer change. *)
+
+type base = seed:int -> window:int -> Schedule.t
+(** The explorer's base schedule for an engine seed and ready-window
+    width: the scenario's own crashes, noise and fault plan, stamped
+    with the run's protocol variant. *)
 
 type t =
   | Random_walk of { trials : int; p_defer : float; window : int }
       (** [trials] independent seeded runs; see {!random_walk}. *)
   | Delay_dfs of { budget : int; max_delays : int; horizon : int; window : int }
       (** Delay-bounded schedule enumeration capped at [budget] runs. *)
-  | Fault_enum of {
-      times : int list;  (** candidate crash times (virtual) *)
-      replicas : int list;  (** candidate crash victims (indices) *)
-      noise : (float * int * int) option;
-          (** optional false-suspicion noise applied to every schedule *)
-      pair_crashes : bool;  (** also try all ordered pairs of crashes *)
-    }  (** Cartesian fault-plan sweep; see {!fault_enum}. *)
-  | Net_fault of {
-      seeds : int;  (** engine seeds per fault point *)
-      loss_levels : float list;  (** drop probabilities to sweep *)
-      dup : float;  (** duplication probability at every point *)
-      jitter : int;  (** reorder jitter at every point *)
-      partition_windows : (int * int) list;
-          (** (start, heal) partition windows to try, besides none *)
-      groups : int list list;  (** candidate severed replica groups *)
-    }  (** Channel fault-plane sweep; see {!net_fault}. *)
-  | Batch_boundary of {
-      seeds : int;  (** engine seeds per boundary plan *)
-      batch : int;  (** batch size under test *)
-      pipeline : int;  (** pipeline depth under test *)
-      tick : int;  (** epoch tick — defines the boundary instants *)
-    }  (** Batch-edge adversity sweep; see {!batch_boundary}. *)
-  | Cross_shard of {
-      seeds : int;  (** engine seeds per fault plan *)
-      shards : int;  (** shard count of the deployment under test *)
-      group_size : int;  (** replicas per shard (flat crash indexing) *)
-      crash_times : int list;  (** candidate owner-crash instants *)
-      block_windows : (int * int) list;
-          (** (from, until) router-partition windows to try per shard *)
-    }  (** Sharded-deployment adversity sweep; see {!cross_shard}. *)
-  | Lease_edge of {
-      seeds : int;  (** engine seeds per fault plan *)
-      substrates : string list;
-          (** substrate names to sweep with the lease enabled *)
-      renew_interval : int;
-          (** lease renew period — defines the boundary instants *)
-      duration : int;  (** lease duration — the expiry boundary *)
-    }  (** Lease-boundary adversity sweep; see {!lease_edge}. *)
+  | Sweep of {
+      name : string;
+      schedules : base:base -> seed:int -> Schedule.t list;
+          (** the sweep's schedules, in run order, for a scenario whose
+              engine seed is [seed] *)
+    }
+
+type job =
+  | Run of Schedule.t  (** replay this schedule *)
+  | Walk of { base : Schedule.t; p_defer : float; walk_seed : int }
+      (** a random-walk trial: run [base] under a chooser seeded by
+          [walk_seed] that defers the front of the ready window with
+          probability [p_defer]; the outcome records its picks as
+          shifts *)
+
+type plan = {
+  frontier : job list;  (** the jobs to run first, in order *)
+  budget : int;  (** most runs in total; [max_int] unless delay-DFS *)
+  children : Schedule.t -> steps:int -> job list;
+      (** jobs to append after a finished run of the schedule that
+          offered [steps] choice points *)
+}
+
+val plan : t -> base:base -> seed:int -> plan
+(** The strategy's jobs for a scenario whose engine seed is [seed].  A
+    random-walk trial [i] runs engine seed [seed + i] under walk seed
+    [(seed + i) lxor 0x2545F4914F6CDD]. *)
 
 val random_walk : ?trials:int -> ?p_defer:float -> ?window:int -> unit -> t
 (** Defaults: [trials] 100, [p_defer] 0.15, [window] 4. *)
@@ -101,9 +75,11 @@ val fault_enum :
   replicas:int list ->
   unit ->
   t
-(** Single crashes at every [times] × [replicas] point; with
-    [pair_crashes] also every ordered pair. [pair_crashes] defaults to
-    [false]. *)
+(** Sweep ["fault-enum"]: the instant the owner dies, the dimension the
+    paper's protocol (section 5) is defensive about.  Single crashes at
+    every [times] × [replicas] point, then with [pair_crashes] every
+    ordered pair, all under [noise] (replacing the scenario's) and the
+    scenario's seed.  [pair_crashes] defaults to [false]. *)
 
 val net_fault :
   ?dup:float ->
@@ -114,13 +90,17 @@ val net_fault :
   loss_levels:float list ->
   unit ->
   t
-(** Every loss level × (no partition + every window × group), [seeds]
-    engine seeds each.  Defaults: [dup] 0, [jitter] 0, no partition
-    windows, [groups] [[[0]]], [seeds] 10. *)
+(** Sweep ["net-fault"]: the channel dimension the paper assumes away
+    (section 5.2); the {!Xnet.Reliable} ARQ layer must keep the protocol
+    x-able anyway.  Every loss level × (no partition + every window ×
+    group), [seeds] engine seeds each.  Defaults: [dup] 0, [jitter] 0,
+    no partition windows, [groups] [[[0]]], [seeds] 10. *)
 
 val batch_boundary :
   ?batch:int -> ?pipeline:int -> ?tick:int -> ?seeds:int -> unit -> t
-(** 50 schedules per seed: owner crashes at 9 tick-relative boundary
+(** Sweep ["batch-boundary"]: the windows the batch log opens between
+    slot claim and outcome.  With batching on and a concurrent load, 50
+    schedules per seed: owner crashes at 9 tick-relative boundary
     instants, false-suspicion bursts ending near those 9 instants, and
     32 single-deferral reorder schedules.  Defaults: [batch] 16,
     [pipeline] 4, [tick] 100, [seeds] 10 (= 500 schedules). *)
@@ -133,11 +113,12 @@ val cross_shard :
   ?seeds:int ->
   unit ->
   t
-(** Per seed: a fault-free baseline, one owner crash per shard ×
-    crash time (flat index [shard * group_size]), and one router block
-    per shard × window.  Defaults: [shards] 4, [group_size] 3,
-    9 crash times, 4 block windows, [seeds] 10 — (1 + 4×9 + 4×4) × 10
-    = 530 schedules; raise [seeds] or the lists for bigger sweeps. *)
+(** Sweep ["cross-shard"]: the seams the section-4 composition theorem
+    stitches, on an N-way {!Xshard.Deployment}.  Per seed: a fault-free
+    baseline, one owner crash per shard × crash time (flat index
+    [shard * group_size]), and one router block per shard × window.
+    Defaults: [shards] 4, [group_size] 3, 9 crash times, 4 block
+    windows, [seeds] 10 — (1 + 4×9 + 4×4) × 10 = 530 schedules. *)
 
 val lease_edge :
   ?substrates:string list ->
@@ -146,17 +127,15 @@ val lease_edge :
   ?seeds:int ->
   unit ->
   t
-(** Per (seed, substrate), all with the lease on: a fault-free leased
-    baseline, an owner crash at each of 11 boundary instants (grant,
-    first/second renewal, expiry, each ±ε of [renew_interval] /
-    [duration]), a false-suspicion burst ending just past each instant,
-    and 4 partitions severing the holder across a boundary.  Defaults:
-    [substrates] all three, [renew_interval] 200, [duration] 600,
-    [seeds] 7 — 27 × 3 × 7 = 567 schedules. *)
+(** Sweep ["lease-edge"]: the instants at which a stale lease could let
+    two owners decide.  Per (substrate, seed), all with the lease on: a
+    fault-free leased baseline, an owner crash at each of 11 boundary
+    instants (grant, first/second renewal, expiry, each ±ε of
+    [renew_interval] / [duration]), a false-suspicion burst ending just
+    past each instant, and 4 partitions severing the holder across a
+    boundary.  Defaults: [substrates] all three, [renew_interval] 200,
+    [duration] 600, [seeds] 7 — 27 × 3 × 7 = 567 schedules. *)
 
 val name : t -> string
-(** Short family tag: ["random-walk"], ["delay-dfs"], ["fault-enum"],
-    ["net-fault"], ["batch-boundary"], ["cross-shard"], ["lease-edge"]. *)
-
-val describe : t -> string
-(** One-line rendering with parameters, for verdict tables. *)
+(** Short family tag: ["random-walk"], ["delay-dfs"], or the sweep's
+    name. *)

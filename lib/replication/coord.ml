@@ -3,7 +3,12 @@ type substrate =
   | `Paxos of Xnet.Latency.t
   | `Seqlog of Xnet.Latency.t ]
 
-type backend = substrate
+let substrates =
+  [
+    ("register", `Register 25);
+    ("paxos", `Paxos (Xnet.Latency.Uniform (10, 40)));
+    ("seqlog", `Seqlog (Xnet.Latency.Uniform (10, 40)));
+  ]
 
 (* The pluggable consensus substrate behind one first-class-module
    interface: each implementation provides the same propose/read surface

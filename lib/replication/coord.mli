@@ -28,8 +28,11 @@ type substrate =
   | `Paxos of Xnet.Latency.t  (** message latency among replicas *)
   | `Seqlog of Xnet.Latency.t  (** message latency among replicas *) ]
 
-type backend = substrate
-(** Historical name for {!substrate}. *)
+val substrates : (string * substrate) list
+(** Every substrate by name (["register"], ["paxos"], ["seqlog"]) at its
+    default latency: a 25-tick register round trip, uniform 10–40-tick
+    replica messages.  The CLI's [--substrate], the schedule token
+    [sub=] and the substrate experiments all read this table. *)
 
 type t
 

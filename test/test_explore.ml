@@ -442,13 +442,13 @@ let test_pinned_runs () =
 let test_mutation_found m () =
   let sc = noisy_booking () in
   let trials = if quick then 48 else 64 in
-  let explored, cx =
+  let _, cx =
     Explorer.hunt ~mutation:m sc [ Strategy.random_walk ~trials () ]
   in
   match cx with
   | None ->
       Alcotest.failf "%s: no violation in %d schedules" (Mutation.to_string m)
-        explored
+        trials
   | Some cx ->
       checkb "original violating" true (cx.Explorer.cx_original_violations <> []);
       checkb "shrunk still violating" true (cx.Explorer.cx_violations <> []);
@@ -856,6 +856,81 @@ let prop_schedule_fuzz =
               | _ -> true)))
 
 (* ------------------------------------------------------------------ *)
+(* Sweep generators *)
+
+(* The schedules a sweep plans for the booking scenario, whose base
+   schedule carries no crashes, noise or fault plan. *)
+let sweep_schedules strategy =
+  let base ~seed ~window = Schedule.make ~window ~seed () in
+  let seed = (Explorer.booking ()).Explorer.spec.Xworkload.Runner.seed in
+  List.map
+    (function
+      | Strategy.Run s -> s
+      | Strategy.Walk _ -> Alcotest.fail "a sweep planned a random-walk trial")
+    (Strategy.plan strategy ~base ~seed).Strategy.frontier
+
+(* Each sweep as [xrepl explore] builds it by default, with its size. *)
+let default_sweeps =
+  [
+    ( Strategy.fault_enum
+        ~times:(List.init 12 (fun i -> 50 + (100 * i)))
+        ~replicas:[ 0; 1; 2 ] (),
+      36 );
+    (Strategy.net_fault ~loss_levels:[ 0.05; 0.1; 0.2 ] (), 30);
+    (Strategy.batch_boundary (), 500);
+    (Strategy.cross_shard (), 530);
+    (Strategy.lease_edge (), 27 * 3 * 7);
+  ]
+
+let test_sweeps_roundtrip_and_check () =
+  let sc = Explorer.booking () in
+  List.iter
+    (fun (strategy, size) ->
+      let name = Strategy.name strategy in
+      let schedules = sweep_schedules strategy in
+      checki (name ^ ": size") size (List.length schedules);
+      List.iter
+        (fun s ->
+          let line = Schedule.to_string s in
+          (match Schedule.of_string line with
+          | Some s' when Schedule.equal s s' -> ()
+          | _ -> Alcotest.failf "%s: %s does not round-trip" name line);
+          match Explorer.check sc s with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s: %s" name line e)
+        schedules)
+    default_sweeps
+
+(* Every shrunk counterexample line in the golden explorer file (one per
+   caught strategy-and-mutant hunt) parses, passes the deployment checks
+   and replays as violating on [xrepl explore]'s default scenario. *)
+let test_golden_counterexamples_replay () =
+  let file =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "golden/explore.expected"
+  in
+  let lines =
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.starts_with ~prefix:"  v1 " l)
+  in
+  checkb "golden file holds counterexample lines" true (lines <> []);
+  let sc = Explorer.booking ~requests:6 () in
+  List.iter
+    (fun l ->
+      let line = String.trim l in
+      match Schedule.parse line with
+      | Error e -> Alcotest.failf "%s: %s" line e
+      | Ok s ->
+          (match Explorer.check sc s with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" line e);
+          checkb (line ^ " replays violating") true
+            (Explorer.violating (Explorer.run_schedule sc s)))
+    lines
+
+(* ------------------------------------------------------------------ *)
 (* Cross-shard strategy: sharded deployments under owner crashes and
    router partitions, verdicts composed per section 4 *)
 
@@ -882,11 +957,13 @@ let test_cross_shard_finds_skip_undo () =
   let strat =
     Strategy.cross_shard ~shards:2 ~block_windows:[] ~seeds:3 ()
   in
-  let explored, cx =
+  let verdicts, cx =
     Explorer.hunt ~mutation:Mutation.Skip_undo_on_takeover sc [ strat ]
   in
   match cx with
-  | None -> Alcotest.failf "skip-undo under sharding: clean in %d" explored
+  | None ->
+      Alcotest.failf "skip-undo under sharding: clean in %d"
+        (List.hd verdicts).Explorer.explored
   | Some cx ->
       checkb "shrunk still violating" true (cx.Explorer.cx_violations <> []);
       checkb "violation names a shard" true
@@ -950,10 +1027,8 @@ let test_lease_edge_covers_plan_and_stays_clean () =
 
 let test_lease_edge_default_is_full_sweep () =
   (* The default parameters must keep the CI sweep's >= 500 schedules. *)
-  match Strategy.lease_edge () with
-  | Strategy.Lease_edge { seeds; substrates; _ } ->
-      checkb ">= 500 schedules" true (27 * seeds * List.length substrates >= 500)
-  | _ -> Alcotest.fail "lease_edge built something else"
+  checkb ">= 500 schedules" true
+    (List.length (sweep_schedules (Strategy.lease_edge ())) >= 500)
 
 let test_leased_schedule_line_replays () =
   (* A leased schedule's line round-trips and replays clean on every
@@ -1067,6 +1142,13 @@ let () =
             test_net_fault_pool_size_independent;
           Alcotest.test_case "lossy schedule line replays" `Quick
             test_lossy_schedule_replays;
+        ] );
+      ( "generators",
+        [
+          Alcotest.test_case "sweeps round-trip, pass check, keep sizes"
+            `Quick test_sweeps_roundtrip_and_check;
+          Alcotest.test_case "golden counterexample lines replay" `Quick
+            test_golden_counterexamples_replay;
         ] );
       ( "cross-shard",
         [

@@ -156,13 +156,6 @@ let prop_lease_safety =
    and replies across register/paxos/seqlog, lease on and off, and the
    whole table must agree between a 1-domain and a 4-domain pool. *)
 
-let substrates =
-  [
-    ("register", `Register 25);
-    ("paxos", `Paxos (Xnet.Latency.Uniform (10, 40)));
-    ("seqlog", `Seqlog (Xnet.Latency.Uniform (10, 40)));
-  ]
-
 let cross_run ~substrate ~lease ~seed =
   let spec =
     {
@@ -196,7 +189,8 @@ let test_substrate_cross_check () =
       (fun lease ->
         List.concat_map
           (fun seed ->
-            List.map (fun (n, s) -> (n, s, lease, seed)) substrates)
+            List.map (fun (n, s) -> (n, s, lease, seed))
+              Xreplication.Coord.substrates)
           [ 3; 14 ])
       [ false; true ]
   in
