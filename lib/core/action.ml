@@ -19,17 +19,13 @@ let commit_name name =
   check_base name;
   name ^ commit_suffix
 
-let has_suffix ~suffix name =
-  let ln = String.length name and ls = String.length suffix in
-  ln >= ls && String.equal (String.sub name (ln - ls) ls) suffix
-
 let strip ~suffix name =
   String.sub name 0 (String.length name - String.length suffix)
 
 let split name =
-  if has_suffix ~suffix:cancel_suffix name then
+  if String.ends_with ~suffix:cancel_suffix name then
     (strip ~suffix:cancel_suffix name, Cancel)
-  else if has_suffix ~suffix:commit_suffix name then
+  else if String.ends_with ~suffix:commit_suffix name then
     (strip ~suffix:commit_suffix name, Commit)
   else (name, Exec)
 

@@ -16,21 +16,38 @@ let str s = Str s
 let pair a b = Pair (a, b)
 let list xs = List xs
 
-let rec pp_compact ppf = function
-  | Nil -> Format.pp_print_string ppf "nil"
-  | Unit -> Format.pp_print_string ppf "()"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Str s -> Format.fprintf ppf "%S" s
-  | Pair (a, b) -> Format.fprintf ppf "(%a,%a)" pp_compact a pp_compact b
+(* One printer for both forms.  [Str] is quoted and escaped as [%S]
+   does; this runs for every checker group key, so no [Format]. *)
+let rec add_compact b = function
+  | Nil -> Buffer.add_string b "nil"
+  | Unit -> Buffer.add_string b "()"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Pair (x, y) ->
+      Buffer.add_char b '(';
+      add_compact b x;
+      Buffer.add_char b ',';
+      add_compact b y;
+      Buffer.add_char b ')'
   | List xs ->
-      Format.fprintf ppf "[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
-           pp_compact)
-        xs
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ';';
+          add_compact b v)
+        xs;
+      Buffer.add_char b ']'
 
-let to_string t = Format.asprintf "%a" pp_compact t
+let to_string t =
+  let b = Buffer.create 32 in
+  add_compact b t;
+  Buffer.contents b
+
+let pp_compact ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Structural hash compatible with [equal].  Unlike the polymorphic
    [Hashtbl.hash], this folds the whole value — the default's node limit

@@ -83,7 +83,7 @@ let rec maybe_flush t =
   then begin
     if Queue.length t.queue < t.cfg.size then t.tick_due <- false;
     let bid, batch = flush t in
-    t.spawn (Printf.sprintf "batch%d" bid) (fun () ->
+    t.spawn ("batch" ^ string_of_int bid) (fun () ->
         t.run ~bid batch;
         t.in_flight <- t.in_flight - 1;
         maybe_flush t);

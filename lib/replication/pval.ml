@@ -48,15 +48,18 @@ type t =
           epoch it was taken under ({!Lease}); [inner] is the ordinary
           decision value and is never itself [Leased] *)
 
-let owner_inst ~rid ~round = Printf.sprintf "o/%d/%d" rid round
-let result_inst ~rid ~round = Printf.sprintf "r/%d/%d" rid round
-let outcome_inst ~rid ~round = Printf.sprintf "x/%d/%d" rid round
+(* Instance ids are built on every proposal and read, so by
+   concatenation: the same bytes as ["o/%d/%d"] without [Printf]. *)
+let inst2 tag a b = tag ^ string_of_int a ^ "/" ^ string_of_int b
+let owner_inst ~rid ~round = inst2 "o/" rid round
+let result_inst ~rid ~round = inst2 "r/" rid round
+let outcome_inst ~rid ~round = inst2 "x/" rid round
 
 (* The batch log: slot [n] of a single global sequence shared by all
    replicas, and its outcome instance.  Slots are proposed in order, so
    decided slots always form a contiguous prefix. *)
-let batch_inst ~slot = Printf.sprintf "b/%d" slot
-let batch_outcome_inst ~slot = Printf.sprintf "y/%d" slot
+let batch_inst ~slot = "b/" ^ string_of_int slot
+let batch_outcome_inst ~slot = "y/" ^ string_of_int slot
 
 let parse_batch_inst s =
   match String.split_on_char '/' s with

@@ -118,6 +118,7 @@ type t = {
   coord : Coord.t;
   lease : Lease.t option;  (** the group's lease cell (from [coord]) *)
   r_addr : Xnet.Address.t;
+  r_name : string;  (** [r_addr] printed once: trace source, fiber names *)
   r_proc : Xsim.Proc.t;
   cfg : config;
   m : metrics;
@@ -188,8 +189,7 @@ let addr t = t.r_addr
 let proc t = t.r_proc
 let metrics t = t.m
 
-let tracef t fmt =
-  Xsim.Engine.tracef t.eng ~source:(Xnet.Address.to_string t.r_addr) fmt
+let tracef t fmt = Xsim.Engine.tracef t.eng ~source:t.r_name fmt
 
 (* Is [rs] filed in [t.pending]?  While it is live (unsettled, or its
    client not yet known) and a visit could matter: always when reads take
@@ -431,7 +431,7 @@ let rec process_request t (req : Xsm.Request.t) client =
           t.m.rounds_owned <- t.m.rounds_owned + 1;
           obs_incr t (fun o -> o.o_rounds);
           let span_t0 = Xsim.Engine.now t.eng in
-          tracef t "own %s round %d" (Xsm.Request.key req') req'.round;
+          tracef t "own %a round %d" Xsm.Request.pp_key req' req'.round;
           let res = execute_until_success t req' in
           (* Mutation hook: the early-reply variant answers the client as
              soon as its own execution succeeds, before outcome-consensus
@@ -458,8 +458,8 @@ let rec process_request t (req : Xsm.Request.t) client =
           | None ->
               (* Our round was vetoed; a cleaner is carrying the request
                  forward. *)
-              tracef t "round %d of %s vetoed" req'.round
-                (Xsm.Request.key req')
+              tracef t "round %d of %a vetoed" req'.round
+                Xsm.Request.pp_key req'
         end
         else begin
           (* Duplicate delivery of a round we already own (an idempotent
@@ -527,9 +527,8 @@ and clean_request t rs =
             (match t.lease with
             | Some l -> Lease.break_suspect l ~suspect:owner
             | None -> ());
-            tracef t "cleaning %s round %d (suspect %s)" (Xsm.Request.key req)
-              req.round
-              (Xnet.Address.to_string owner);
+            tracef t "cleaning %a round %d (suspect %a)" Xsm.Request.pp_key
+              req req.round Xnet.Address.pp owner;
             let res = result_coordination t req None in
             match res with
             | None ->
@@ -550,9 +549,7 @@ and clean_request t rs =
 let spawn_named t base fn =
   t.fiber_counter <- t.fiber_counter + 1;
   Xsim.Engine.spawn t.eng ~proc:t.r_proc
-    ~name:
-      (Printf.sprintf "%s:%s#%d" (Xnet.Address.to_string t.r_addr) base
-         t.fiber_counter)
+    ~name:(t.r_name ^ ":" ^ base ^ "#" ^ string_of_int t.fiber_counter)
     fn
 
 (* ------------------------------------------------------------------ *)
@@ -745,7 +742,7 @@ let process_batch t ~bid members =
         | `Skip _ -> ()
         | `Run ((req : Xsm.Request.t), _) ->
             spawn_named t
-              (Printf.sprintf "batch%d.r%d" bid req.rid)
+              ("batch" ^ string_of_int bid ^ ".r" ^ string_of_int req.rid)
               (fun () ->
                 Hashtbl.replace outcomes req.rid (execute_member t ~slot req);
                 decr remaining;
@@ -828,8 +825,8 @@ let visit_slot t slot =
         (match t.lease with
         | Some l -> Lease.break_suspect l ~suspect:s.s_owner
         | None -> ());
-        tracef t "cleaning slot %d (suspect %s)" slot
-          (Xnet.Address.to_string s.s_owner);
+        tracef t "cleaning slot %d (suspect %a)" slot Xnet.Address.pp
+          s.s_owner;
         let results =
           List.map
             (fun ((req : Xsm.Request.t), _) -> (req.rid, None))
@@ -995,6 +992,7 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
       coord;
       lease = Coord.lease coord;
       r_addr;
+      r_name = Xnet.Address.to_string r_addr;
       r_proc;
       cfg = config;
       m =
@@ -1076,7 +1074,7 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
             match t.batcher with
             | None ->
                 spawn_named t
-                  (Printf.sprintf "req%d" req.rid)
+                  ("req" ^ string_of_int req.rid)
                   (fun () -> process_request t req client)
             | Some b ->
                 let rs = state_of t req.rid in

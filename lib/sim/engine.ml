@@ -7,7 +7,11 @@ type 'a resumer = ('a, exn) result -> bool
    the fiber's one-shot resumer and hands it to [register]. *)
 type _ Effect.t += Suspend : ((('a, exn) result -> bool) -> unit) -> 'a Effect.t
 
-type fiber = { fname : string; proc : Proc.t option }
+type fiber = {
+  fname : string;
+  resume_label : string;  (* ["resume:" ^ fname], built once at spawn *)
+  proc : Proc.t option;
+}
 
 (* A scheduling decision point.  When a chooser is installed, every pop of
    the event queue offers the chooser a window of up-next events (their
@@ -95,8 +99,13 @@ let current_proc t =
 let current_fiber_name t =
   match t.current with None -> "-" | Some f -> f.fname
 
+(* The check is made at each call: the explorer may turn the trace on
+   after the engine is built.  Off, the arguments are consumed unprinted,
+   so a [%a] printer never runs and no text is built. *)
 let tracef t ~source fmt =
-  Format.kasprintf (fun s -> Trace.record t.tr ~time:t.vnow ~source s) fmt
+  if Trace.is_enabled t.tr then
+    Format.kasprintf (fun s -> Trace.record t.tr ~time:t.vnow ~source s) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let schedule t ?(label = "cb") ~delay cb =
   if delay < 0 then
@@ -127,7 +136,7 @@ let handler t (f : fiber) : (unit, unit) Effect.Deep.handler =
                   if !resumed || not (Proc.alive_opt f.proc) then false
                   else begin
                     resumed := true;
-                    schedule t ~label:("resume:" ^ f.fname) ~delay:0 (fun () ->
+                    schedule t ~label:f.resume_label ~delay:0 (fun () ->
                         if Proc.alive_opt f.proc then begin
                           let saved = t.current in
                           t.current <- Some f;
@@ -144,7 +153,7 @@ let handler t (f : fiber) : (unit, unit) Effect.Deep.handler =
   }
 
 let spawn t ?proc ~name fn =
-  let f = { fname = name; proc } in
+  let f = { fname = name; resume_label = "resume:" ^ name; proc } in
   schedule t ~label:("spawn:" ^ name) ~delay:0 (fun () ->
       if Proc.alive_opt proc then begin
         let saved = t.current in

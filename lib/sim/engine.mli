@@ -44,7 +44,9 @@ val trace : t -> Trace.t
 
 val tracef :
   t -> source:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Record a formatted trace entry at the current virtual time. *)
+(** Record a formatted trace entry at the current virtual time.  While
+    the trace is disabled nothing is formatted: pass printers ([%a]), not
+    strings built beforehand, so a disabled trace builds no text. *)
 
 val spawn : t -> ?proc:Proc.t -> name:string -> (unit -> unit) -> unit
 (** Start a new fiber.  It begins executing at the current virtual time,

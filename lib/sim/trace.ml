@@ -25,6 +25,7 @@ let create ?capacity ?(enabled = true) () =
   { buf = [||]; start = 0; len = 0; capacity; count = 0; enabled; fp = 0 }
 
 let set_enabled t b = t.enabled <- b
+let is_enabled t = t.enabled
 
 let fold_fp fp (e : entry) =
   let h acc x = (acc * 0x01000193) lxor x in

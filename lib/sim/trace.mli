@@ -23,6 +23,10 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
 
 val set_enabled : t -> bool -> unit
 
+val is_enabled : t -> bool
+(** Whether {!record} keeps entries.  Callers that build an entry's text
+    check this first, so a disabled trace costs no formatting. *)
+
 val record : t -> time:int -> source:string -> string -> unit
 (** No-op when the trace is disabled. *)
 

@@ -77,7 +77,7 @@ type t = {
   mutable rev_history : Event.t list;
   mutable violations_rev : string list;
   mutable in_flight : int;
-  mutable listeners : (Event.t -> unit) list;  (** reverse registration order *)
+  mutable listeners : (Event.t -> unit) list;  (** registration order *)
 }
 
 let create eng ?(config = default_config) () =
@@ -122,14 +122,14 @@ let kind_of t name =
   | Some (Raw _) -> None
   | None -> None
 
-let on_event t f = t.listeners <- f :: t.listeners
+(* Kept in registration order, so [record] walks the list as it is: an
+   online monitor fed events out of order would see phantom violations. *)
+let on_event t f = t.listeners <- t.listeners @ [ f ]
 
 let record t e =
   t.rev_history <- e :: t.rev_history;
   Xsim.Engine.tracef t.eng ~source:"env" "%a" Event.pp_compact e;
-  (* Registration order: an online monitor fed events out of order would
-     see phantom violations. *)
-  List.iter (fun f -> f e) (List.rev t.listeners)
+  List.iter (fun f -> f e) t.listeners
 
 let violation t key msg =
   t.violations_rev <- Printf.sprintf "%s: %s" key msg :: t.violations_rev

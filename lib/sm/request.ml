@@ -40,7 +40,8 @@ let round_of_env_iv = function
   | Value.Pair (Value.Str "round", Value.Pair (Value.Int r, _)) -> Some r
   | _ -> None
 
-let key t = Printf.sprintf "%s#%d" (base_action t) t.rid
+let key t = base_action t ^ "#" ^ string_of_int t.rid
+let pp_key ppf t = Format.pp_print_string ppf (key t)
 let round_key t = Printf.sprintf "%s#%d@%d" (base_action t) t.rid t.round
 
 let pp ppf t =

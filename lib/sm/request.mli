@@ -58,6 +58,9 @@ val round_of_env_iv : Xability.Value.t -> int option
 val key : t -> string
 (** Stable identity of the logical request: ["action#rid"]. *)
 
+val pp_key : Format.formatter -> t -> unit
+(** Prints {!key}; for trace lines, which build no text when off. *)
+
 val round_key : t -> string
 (** Stable identity of (logical request, round): ["action#rid@round"]. *)
 

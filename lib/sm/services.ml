@@ -36,11 +36,9 @@ module Bank = struct
 
   type t = {
     posted : (string, int) Hashtbl.t;
-    holds : (string, hold) Hashtbl.t;  (* keyed by "rid@round" *)
+    holds : (int * int, hold) Hashtbl.t;  (* keyed by (rid, round) *)
     mutable transfers : int;
   }
-
-  let hold_key rid round = Printf.sprintf "%d@%d" rid round
 
   let parse_transfer payload =
     match payload with
@@ -60,17 +58,17 @@ module Bank = struct
     Environment.register_undoable env (prefix ^ "transfer")
       ~attempt:(fun ~rid ~payload ~round ~rng:_ ->
         let from_acct, to_acct, amount = parse_transfer payload in
-        Hashtbl.replace t.holds (hold_key rid round)
+        Hashtbl.replace t.holds (rid, round)
           { from_acct; to_acct; amount };
         Value.int amount)
       ~cancel:(fun ~rid ~payload:_ ~round ->
-        Hashtbl.remove t.holds (hold_key rid round))
+        Hashtbl.remove t.holds (rid, round))
       ~commit:(fun ~rid ~payload:_ ~round ->
-        match Hashtbl.find_opt t.holds (hold_key rid round) with
+        match Hashtbl.find_opt t.holds (rid, round) with
         | Some { from_acct; to_acct; amount } ->
             Hashtbl.replace t.posted from_acct (balance_of from_acct - amount);
             Hashtbl.replace t.posted to_acct (balance_of to_acct + amount);
-            Hashtbl.remove t.holds (hold_key rid round);
+            Hashtbl.remove t.holds (rid, round);
             t.transfers <- t.transfers + 1
         | None -> failwith "transfer commit: no hold to post");
     Environment.register_idempotent env (prefix ^ "balance")
@@ -112,9 +110,8 @@ module Booking = struct
       in
       go 0
     in
-    (* Holds keyed by rid@round so cancel/commit target the right hold. *)
-    let holds : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let hold_key rid round = Printf.sprintf "%d@%d" rid round in
+    (* Holds keyed by (rid, round) so cancel/commit target the right hold. *)
+    let holds : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
     Environment.register_undoable env (prefix ^ "reserve")
       ~attempt:(fun ~rid ~payload ~round ~rng ->
         let passenger =
@@ -125,22 +122,22 @@ module Booking = struct
         match find_free rng with
         | Some seat ->
             t.seats.(seat) <- Held passenger;
-            Hashtbl.replace holds (hold_key rid round) seat;
+            Hashtbl.replace holds (rid, round) seat;
             Value.int seat
         | None -> failwith "reserve: sold out")
       ~cancel:(fun ~rid ~payload:_ ~round ->
-        match Hashtbl.find_opt holds (hold_key rid round) with
+        match Hashtbl.find_opt holds (rid, round) with
         | Some seat ->
             t.seats.(seat) <- Free;
-            Hashtbl.remove holds (hold_key rid round)
+            Hashtbl.remove holds (rid, round)
         | None -> ())
       ~commit:(fun ~rid ~payload:_ ~round ->
-        match Hashtbl.find_opt holds (hold_key rid round) with
+        match Hashtbl.find_opt holds (rid, round) with
         | Some seat ->
             (match t.seats.(seat) with
             | Held p -> t.seats.(seat) <- Confirmed p
             | Free | Confirmed _ -> failwith "reserve commit: hold vanished");
-            Hashtbl.remove holds (hold_key rid round)
+            Hashtbl.remove holds (rid, round)
         | None -> failwith "reserve commit: no hold");
     t
 

@@ -31,6 +31,11 @@ let test_value_roundtrip () =
   in
   checkb "equal to itself" true (Value.equal v v);
   checkb "to_string nonempty" true (String.length (Value.to_string v) > 0);
+  Alcotest.(check string) "to_string" {|("round",(2,[true;nil]))|}
+    (Value.to_string v);
+  Alcotest.(check string) "escapes" {|[(-3,"a\"b\n\200");()]|}
+    (Value.to_string
+       (Value.list [ Value.pair (Value.int (-3)) (Value.str "a\"b\n\200"); Value.unit ]));
   checkb "distinct values differ" false (Value.equal v Value.unit)
 
 let test_value_projections () =
@@ -55,6 +60,61 @@ let test_value_ordering_total () =
           checkb "antisymmetric" true ((ab = 0 && ba = 0) || ab * ba < 0 || (ab = 0) = (ba = 0)))
         vs)
     vs
+
+(* [Value.to_string] as it was first written, through [Format]: the
+   Buffer printer must give the same bytes, since group keys, history
+   action keys and violation messages are built from it. *)
+module Reference_printer = struct
+  let rec pp ppf = function
+    | Value.Nil -> Format.pp_print_string ppf "nil"
+    | Value.Unit -> Format.pp_print_string ppf "()"
+    | Value.Bool b -> Format.pp_print_bool ppf b
+    | Value.Int i -> Format.pp_print_int ppf i
+    | Value.Str s -> Format.fprintf ppf "%S" s
+    | Value.Pair (a, b) -> Format.fprintf ppf "(%a,%a)" pp a pp b
+    | Value.List xs ->
+        Format.fprintf ppf "[%a]"
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
+             pp)
+          xs
+
+  let to_string v = Format.asprintf "%a" pp v
+end
+
+(* Strings that need escaping (quote, backslash, control and high bytes),
+   negative ints, nested pairs, empty and nested lists. *)
+let gen_value =
+  let open QCheck.Gen in
+  let chars = oneof [ oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\127'; '\200'; '\255' ]; printable ] in
+  let leaf =
+    oneof
+      [
+        return Value.nil;
+        return Value.unit;
+        map Value.bool bool;
+        map Value.int (oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int ] ]);
+        map Value.str (string_size ~gen:chars (0 -- 8));
+      ]
+  in
+  sized_size (0 -- 6)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (3, map2 Value.pair (self (n / 2)) (self (n / 2)));
+               (2, map Value.list (list_size (0 -- 3) (self (n / 2))));
+             ])
+
+let prop_value_to_string_reference =
+  QCheck.Test.make ~name:"to_string = Format reference printer" ~count:500
+    (QCheck.make ~print:Reference_printer.to_string gen_value)
+    (fun v ->
+      let s = Value.to_string v in
+      String.equal s (Reference_printer.to_string v)
+      && String.equal s (Format.asprintf "%a" Value.pp_compact v))
 
 (* ------------------------------------------------------------------ *)
 (* Action *)
@@ -1179,6 +1239,7 @@ let () =
           tc "roundtrip" test_value_roundtrip;
           tc "projections" test_value_projections;
           tc "ordering total" test_value_ordering_total;
+          qcheck prop_value_to_string_reference;
         ] );
       ( "action",
         [ tc "names" test_action_names; tc "invalid base" test_action_invalid_base ]

@@ -763,6 +763,44 @@ let test_cost_independent_of_run_length () =
     true
     (long <= 1.5 *. short && short <= 1.5 *. long)
 
+(* Text that nobody reads (a disabled trace, Printf-built names and
+   keys) once cost ~5,000 words a request; keep it gone. *)
+let test_allocation_budget () =
+  let w = words_per_request ~per_lane:10 in
+  checkb (Printf.sprintf "%.0f words/request, budget 2600" w) true (w <= 2600.)
+
+(* Instance ids and fiber names are built by concatenation; these are
+   the bytes [Printf] used to give. *)
+let test_names_and_ids () =
+  let module P = Xreplication.Pval in
+  let checks = Alcotest.(check string) in
+  checks "owner" "o/17/2" (P.owner_inst ~rid:17 ~round:2);
+  checks "result" "r/17/2" (P.result_inst ~rid:17 ~round:2);
+  checks "outcome" "x/17/2" (P.outcome_inst ~rid:17 ~round:2);
+  checks "negative rid" "o/-4/1" (P.owner_inst ~rid:(-4) ~round:1);
+  checks "batch" "b/5" (P.batch_inst ~slot:5);
+  checks "batch outcome" "y/5" (P.batch_outcome_inst ~slot:5);
+  checks "negative slot" "y/-1" (P.batch_outcome_inst ~slot:(-1));
+  checkb "owner id parses back" true
+    (P.parse_owner_inst (P.owner_inst ~rid:(-4) ~round:1) = Some (-4, 1));
+  (* A replica fiber's spawn and resume labels, as a chooser sees them. *)
+  let labels = Hashtbl.create 64 in
+  let prepare eng _env =
+    Xsim.Engine.set_chooser eng ~window:4
+      (Some
+         (fun ~step:_ ~ready ->
+           Array.iter (fun l -> Hashtbl.replace labels l ()) ready;
+           0))
+  in
+  let r, _ =
+    Runner.run ~spec:base_spec ~prepare ~setup:Workloads.setup_all
+      ~workload:(mixed_workload 2) ()
+  in
+  assert_ok r;
+  List.iter
+    (fun l -> checkb l true (Hashtbl.mem labels l))
+    [ "spawn:replica.1:main#1"; "spawn:replica:req1#3"; "resume:replica:req1#3" ]
+
 let tc name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -835,6 +873,8 @@ let () =
         [
           tc "per-request cost independent of run length"
             test_cost_independent_of_run_length;
+          tc "per-request allocation budget" test_allocation_budget;
+          tc "instance ids and fiber names" test_names_and_ids;
         ] );
       ("properties", [ qcheck prop_e1_xability ]);
     ]

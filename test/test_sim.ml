@@ -426,6 +426,29 @@ let test_trace_disabled () =
   Trace.record tr ~time:1 ~source:"a" "ignored";
   checki "nothing recorded" 0 (Trace.length tr)
 
+(* A disabled trace builds no text: [tracef]'s printers never run.  Once
+   the trace is on, the same call records the formatted line. *)
+let test_trace_lazy_when_disabled () =
+  let calls = ref 0 in
+  let pp ppf n =
+    incr calls;
+    Format.fprintf ppf "v=%d" n
+  in
+  let eng = Engine.create ~trace_enabled:false () in
+  let tr = Engine.trace eng in
+  Engine.tracef eng ~source:"s" "x %a y %d" pp 7 3;
+  checki "printer not called" 0 !calls;
+  checki "nothing recorded" 0 (Trace.length tr);
+  Trace.set_enabled tr true;
+  Engine.tracef eng ~source:"s" "x %a y %d" pp 7 3;
+  checki "printer called once" 1 !calls;
+  let expected = Trace.create () in
+  Trace.record expected ~time:0 ~source:"s" "x v=7 y 3";
+  (match Trace.entries tr with
+  | [ e ] -> Alcotest.(check string) "text" "x v=7 y 3" e.Trace.text
+  | _ -> Alcotest.fail "expected 1 entry");
+  checki "fingerprint" (Trace.fingerprint expected) (Trace.fingerprint tr)
+
 (* ------------------------------------------------------------------ *)
 
 
@@ -693,6 +716,8 @@ let () =
           qcheck test_chooser_matches_model;
           Alcotest.test_case "decision cost independent of depth" `Quick
             test_chooser_cost_independent_of_depth;
+          Alcotest.test_case "disabled trace builds no text" `Quick
+            test_trace_lazy_when_disabled;
         ] );
       ( "ivar",
         [

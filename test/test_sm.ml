@@ -49,6 +49,12 @@ let test_request_variants () =
 let test_request_keys () =
   let r = mk_undo () in
   Alcotest.(check string) "key" "book#8" (Request.key r);
+  Alcotest.(check string) "key of a variant" "book#8"
+    (Request.key (Request.cancel_of r));
+  Alcotest.(check string) "negative rid" "book#-3"
+    (Request.key { r with Request.rid = -3 });
+  Alcotest.(check string) "pp_key" "book#8"
+    (Format.asprintf "%a" Request.pp_key r);
   Alcotest.(check string) "round key" "book#8@1" (Request.round_key r);
   Alcotest.(check string) "round key 2" "book#8@2"
     (Request.round_key (Request.with_round r 2))
